@@ -62,10 +62,19 @@ struct TransientStepper::Impl {
     VectorD driver_gu, driver_gd;
     VectorD table_v;       // table linearization voltages (per element)
     VectorD table_g_last;  // conductances stamped in the current factor
-    MatrixD base_trap, base_be;
-    bool have_trap = false, have_be = false;
-    std::unique_ptr<Lu<double>> lu;
-    Integrator lu_method = Integrator::BackwardEuler;
+
+    // Border/interior split of the MNA unknowns, fixed at construction (both
+    // lists ascending). border_pos maps an MNA index to its position in
+    // `border`, or npos for an interior unknown.
+    std::vector<std::size_t> border, interior, border_pos;
+    // Time-invariant core of one (dt, integrator): the A_II factor (null when
+    // the interior is empty), X = A_II⁻¹·A_IB, A_BI and S₀ = A_BB − A_BI·X.
+    std::unique_ptr<Lu<double>> lu_ii;
+    MatrixD x_ib, a_bi, s0;
+    Integrator core_method = Integrator::BackwardEuler;
+    bool core_valid = false;
+    // Factor of the border Schur complement S = S₀ + driver/table stamps.
+    std::unique_ptr<Lu<double>> lu_s;
     bool lu_valid = false;
 
     std::size_t step_count = 0;
@@ -113,7 +122,69 @@ struct TransientStepper::Impl {
         table_v.assign(nl.table_conductances().size(), 0.0);
         table_g_last.assign(nl.table_conductances().size(), -1.0);
 
+        partition();
         initialize_dc();
+    }
+
+    // Split the unknowns into the border B (everything a driver or table
+    // conductance stamps) and the time-invariant interior I.
+    void partition() {
+        std::vector<bool> in_b(lay.dim(), false);
+        const auto mark = [&](NodeId n) {
+            if (lay.node(n) != MnaLayout::npos) in_b[lay.node(n)] = true;
+        };
+        for (const DriverInstance& d : nl.drivers()) {
+            mark(d.out);
+            mark(d.vcc);
+            mark(d.gnd);
+        }
+        for (const TableConductance& tc : nl.table_conductances()) {
+            mark(tc.a);
+            mark(tc.b);
+        }
+        // A zero-impedance branch (a voltage source, or an inductor with
+        // L = R = 0) has node-voltage terms only in its branch row. Once a
+        // terminal is in B, that row loses a column in A_II, and a chain of
+        // such branches through an interior node (Vdd → n1 → Vsense → vcc)
+        // leaves dependent rows. So close B under these branches: a branch
+        // touching B brings its current and its other terminal into B.
+        struct Branch {
+            NodeId a, b;
+            std::size_t cur;
+        };
+        std::vector<Branch> zero_z;
+        for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
+            const Inductor& l = nl.inductors()[k];
+            if (l.l == 0.0 && l.r == 0.0)
+                zero_z.push_back({l.a, l.b, lay.inductor_current(k)});
+        }
+        for (std::size_t k = 0; k < nl.vsources().size(); ++k)
+            zero_z.push_back({nl.vsources()[k].a, nl.vsources()[k].b,
+                              lay.vsource_current(k)});
+        const auto on_border = [&](NodeId n) {
+            return lay.node(n) != MnaLayout::npos && in_b[lay.node(n)];
+        };
+        for (bool grew = true; grew;) {
+            grew = false;
+            for (const Branch& br : zero_z) {
+                if (in_b[br.cur] || !(on_border(br.a) || on_border(br.b)))
+                    continue;
+                in_b[br.cur] = true;
+                mark(br.a);
+                mark(br.b);
+                grew = true;
+            }
+        }
+        border_pos.assign(lay.dim(), MnaLayout::npos);
+        for (std::size_t i = 0; i < lay.dim(); ++i) {
+            if (!in_b[i]) {
+                interior.push_back(i);
+                continue;
+            }
+            border_pos[i] = border.size();
+            border.push_back(i);
+        }
+        stats.border_dim = border.size();
     }
 
     void initialize_dc() {
@@ -158,12 +229,11 @@ struct TransientStepper::Impl {
         return m == Integrator::Trapezoidal ? 2.0 / dt : 1.0 / dt;
     }
 
-    const MatrixD& base_matrix(Integrator m) {
-        MatrixD& base = (m == Integrator::Trapezoidal) ? base_trap : base_be;
-        bool& have = (m == Integrator::Trapezoidal) ? have_trap : have_be;
-        if (have) return base;
+    // The time-invariant MNA matrix of integrator m: everything but the
+    // driver and table conductances.
+    MatrixD base_matrix(Integrator m) const {
         const double s = companion_scale(m);
-        base = MatrixD(lay.dim(), lay.dim());
+        MatrixD base(lay.dim(), lay.dim());
 
         for (const Resistor& r : nl.resistors())
             stamp_conductance(base, lay, r.a, r.b, 1.0 / r.r);
@@ -207,10 +277,60 @@ struct TransientStepper::Impl {
             stamp_end(t.near, t.near_ref);
             stamp_end(t.far, t.far_ref);
         }
-        have = true;
         return base;
     }
 
+    // Count a factorization and spot-check its conditioning: the estimator
+    // costs a handful of O(n²) solves, so sample the first factor and every
+    // 64th thereafter rather than every driver-edge refactorization.
+    void note_factorization(const Lu<double>& f, const char* what) {
+        ++stats.lu_factorizations;
+        if (stats.lu_factorizations == 1 || stats.lu_factorizations % 64 == 0)
+            robust::check_condition(f.condition_estimate(), what, ropt, &report);
+    }
+
+    // Factor the time-invariant core of integrator m: A_II once, then
+    // X = A_II⁻¹·A_IB and S₀ = A_BB − A_BI·X.
+    void build_core(Integrator m) {
+        PGSI_TRACE_SCOPE("transient.lti_setup");
+        core_valid = false;
+        lu_valid = false;
+        const MatrixD base = base_matrix(m);
+        s0 = base.submatrix(border, border);
+        lu_ii.reset();
+        if (!interior.empty()) {
+            lu_ii = std::make_unique<Lu<double>>(
+                base.submatrix(interior, interior));
+            ++stats.lti_factorizations;
+            note_factorization(*lu_ii, "transient MNA interior block");
+            if (!border.empty()) {
+                a_bi = base.submatrix(border, interior);
+                x_ib = lu_ii->solve(base.submatrix(interior, border));
+                s0 -= a_bi * x_ib;
+            }
+        }
+        core_method = m;
+        core_valid = true;
+    }
+
+    // Border position of a node voltage (npos for ground).
+    std::size_t border_node(NodeId n) const {
+        return n == 0 ? MnaLayout::npos : border_pos[lay.node(n)];
+    }
+
+    void stamp_border(MatrixD& s, NodeId a, NodeId b, double g) const {
+        const std::size_t ia = border_node(a), ib = border_node(b);
+        if (ia != MnaLayout::npos) s(ia, ia) += g;
+        if (ib != MnaLayout::npos) s(ib, ib) += g;
+        if (ia != MnaLayout::npos && ib != MnaLayout::npos) {
+            s(ia, ib) -= g;
+            s(ib, ia) -= g;
+        }
+    }
+
+    // Bring the factors up to date for integrator m at time t: the core on a
+    // (dt, integrator) change, the k×k Schur complement whenever a driver or
+    // table conductance moves.
     void refresh_factor(Integrator m, double t, const VectorD& table_g) {
         bool drivers_moved = false;
         for (std::size_t d = 0; d < nl.drivers().size(); ++d) {
@@ -228,29 +348,50 @@ struct TransientStepper::Impl {
                 1e-12 * (std::abs(table_g[k]) + 1e-12))
                 tables_moved = true;
         table_g_last = table_g;
-        if (lu_valid && m == lu_method && !drivers_moved && !tables_moved)
-            return;
+        const bool core_current = core_valid && core_method == m;
+        if (core_current && lu_valid && !drivers_moved && !tables_moved) return;
+        if (!core_current) build_core(m);
         PGSI_TRACE_SCOPE("transient.factor");
-        ++stats.lu_factorizations;
-        MatrixD mat = base_matrix(m);
-        for (std::size_t d = 0; d < nl.drivers().size(); ++d) {
-            const DriverInstance& dr = nl.drivers()[d];
-            stamp_conductance(mat, lay, dr.out, dr.vcc, driver_gu[d]);
-            stamp_conductance(mat, lay, dr.out, dr.gnd, driver_gd[d]);
+        if (!border.empty()) {
+            MatrixD s = s0;
+            for (std::size_t d = 0; d < nl.drivers().size(); ++d) {
+                const DriverInstance& dr = nl.drivers()[d];
+                stamp_border(s, dr.out, dr.vcc, driver_gu[d]);
+                stamp_border(s, dr.out, dr.gnd, driver_gd[d]);
+            }
+            for (std::size_t k = 0; k < table_g.size(); ++k) {
+                const TableConductance& tc = nl.table_conductances()[k];
+                stamp_border(s, tc.a, tc.b, table_g[k]);
+            }
+            lu_s = std::make_unique<Lu<double>>(std::move(s));
+            note_factorization(*lu_s, "transient MNA border Schur complement");
         }
-        for (std::size_t k = 0; k < table_g.size(); ++k) {
-            const TableConductance& tc = nl.table_conductances()[k];
-            stamp_conductance(mat, lay, tc.a, tc.b, table_g[k]);
-        }
-        lu = std::make_unique<Lu<double>>(std::move(mat));
-        lu_method = m;
         lu_valid = true;
-        // Conditioning spot-check: the estimator costs a handful of O(n²)
-        // solves, so sample the first factor and every 64th thereafter
-        // rather than every driver-edge refactorization.
-        if (stats.lu_factorizations == 1 || stats.lu_factorizations % 64 == 0)
-            robust::check_condition(lu->condition_estimate(),
-                                    "transient MNA matrix", ropt, &report);
+    }
+
+    // Solve the MNA system through the split: y = A_II⁻¹·b_I,
+    // z = S⁻¹·(b_B − A_BI·y), x_I = y − X·z.
+    VectorD solve(const VectorD& b) const {
+        VectorD sol(lay.dim());
+        VectorD y(interior.size());
+        for (std::size_t i = 0; i < interior.size(); ++i) y[i] = b[interior[i]];
+        if (lu_ii) y = lu_ii->solve(y);
+        if (!border.empty()) {
+            VectorD r(border.size());
+            for (std::size_t j = 0; j < border.size(); ++j) r[j] = b[border[j]];
+            if (lu_ii) {
+                const VectorD ay = a_bi * y;
+                for (std::size_t j = 0; j < border.size(); ++j) r[j] -= ay[j];
+            }
+            const VectorD z = lu_s->solve(r);
+            if (lu_ii) {
+                const VectorD xz = x_ib * z;
+                for (std::size_t i = 0; i < interior.size(); ++i) y[i] -= xz[i];
+            }
+            for (std::size_t j = 0; j < border.size(); ++j) sol[border[j]] = z[j];
+        }
+        for (std::size_t i = 0; i < interior.size(); ++i) sol[interior[i]] = y[i];
+        return sol;
     }
 
     double node_v(const VectorD& sol, NodeId n) const {
@@ -289,7 +430,7 @@ struct TransientStepper::Impl {
     void set_dt(double new_dt) {
         if (new_dt == dt) return;
         dt = new_dt;
-        have_trap = have_be = false;
+        core_valid = false;
         lu_valid = false;
     }
 
@@ -484,7 +625,7 @@ struct TransientStepper::Impl {
                 stamp_current(rhs_nl, lay, tc.b, +ieq);
             }
             refresh_factor(m, t, table_g);
-            x = lu->solve(rhs_nl);
+            x = solve(rhs_nl);
             ++stats.lu_solves;
             if (!robust::all_finite(x)) {
                 static obs::Counter& c_nonfinite =

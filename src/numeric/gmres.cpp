@@ -259,15 +259,17 @@ BlockGmresResult block_gmres(const LinearOpC& a, const std::vector<VectorC>& b,
     PGSI_REQUIRE(opt.restart >= 1, "block_gmres: restart must be >= 1");
     PGSI_REQUIRE(opt.tol > 0, "block_gmres: tol must be positive");
     static obs::Counter& c_block = obs::counter("gmres.block_solves");
+    static obs::Counter& c_solves = obs::counter("gmres.solves");
     static obs::Counter& c_iters = obs::counter("gmres.iterations");
     static obs::Counter& c_matvecs = obs::counter("gmres.matvecs");
     static obs::Counter& c_restarts = obs::counter("gmres.restarts");
     static obs::Counter& c_est_retries =
         obs::counter("gmres.estimate_retries");
     static obs::Counter& c_deflations = obs::counter("gmres.deflations");
-    ++c_block;
-
     const std::size_t p = b.size();
+    ++c_block;
+    c_solves.add(p); // one solve per right-hand side column
+
     BlockGmresResult res;
     res.residuals.assign(p, 1.0);
     if (robust::FaultInjector::should_fire("gmres.stall")) {

@@ -86,8 +86,9 @@ struct BlockGmresResult {
 /// `x` carries the per-column initial guesses (identically-zero guesses skip
 /// the initial residual matvec, as in gmres()) and the solutions on return.
 /// All inner products are serial, so results are bitwise independent of the
-/// thread count. Counters: gmres.block_solves plus the shared
-/// gmres.iterations / gmres.matvecs / gmres.restarts.
+/// thread count. Counters: gmres.block_solves (one per call), gmres.solves
+/// (one per right-hand side column) plus the shared gmres.iterations /
+/// gmres.matvecs / gmres.restarts.
 BlockGmresResult block_gmres(const LinearOpC& a, const std::vector<VectorC>& b,
                              std::vector<VectorC>& x,
                              const GmresOptions& opt = {},

@@ -1,8 +1,9 @@
 // LU factorization with partial pivoting for dense real/complex systems.
 //
 // The factorization is stored so it can be reused across many right-hand
-// sides — the transient circuit solver (§5.1) factors its constant MNA matrix
-// once per conductance change and back-substitutes every time step.
+// sides — the transient circuit solver (§5.1) factors its constant interior
+// MNA block once, refactors the small driver border on each conductance
+// change, and back-substitutes through both every time step.
 #pragma once
 
 #include "numeric/matrix.hpp"

@@ -610,9 +610,9 @@ CheckResult check_energy_balance(const Netlist& nl, double dt, double tstop,
     CheckResult r;
     r.invariant = "energy_balance";
     r.tolerance = tol;
-    PGSI_REQUIRE(nl.drivers().empty() && nl.table_conductances().empty() &&
-                     nl.tlines().empty() && nl.sparam_blocks().empty(),
-                 "energy balance supports R/L/C/K/V/I netlists only");
+    PGSI_REQUIRE(nl.tlines().empty() && nl.sparam_blocks().empty(),
+                 "energy balance supports R/L/C/K/V/I, driver and table "
+                 "netlists only");
 
     TransientStepper st(nl, dt);
     const auto volt = [&](NodeId n) { return st.node_voltage(n); };
@@ -621,6 +621,11 @@ CheckResult check_energy_balance(const Netlist& nl, double dt, double tstop,
         for (const Capacitor& c : nl.capacitors()) {
             const double v = volt(c.a) - volt(c.b);
             e += 0.5 * c.c * v * v;
+        }
+        // Each driver's internal output capacitor, out to gnd.
+        for (const DriverInstance& d : nl.drivers()) {
+            const double v = volt(d.out) - volt(d.gnd);
+            e += 0.5 * d.params.c_out * v * v;
         }
         return e;
     };
@@ -637,7 +642,8 @@ CheckResult check_energy_balance(const Netlist& nl, double dt, double tstop,
         }
         return e;
     };
-    // Instantaneous power absorbed by sources and dissipated in resistances.
+    // Instantaneous power absorbed by sources and dissipated in resistances,
+    // driver pull-up/pull-down conductances and table conductances.
     const auto src_power = [&] {
         double p = 0;
         for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
@@ -657,6 +663,16 @@ CheckResult check_energy_balance(const Netlist& nl, double dt, double tstop,
         for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
             const double i = st.inductor_current(k);
             p += nl.inductors()[k].r * i * i;
+        }
+        const double t = st.time();
+        for (const DriverInstance& d : nl.drivers()) {
+            const double vu = volt(d.out) - volt(d.vcc);
+            const double vd = volt(d.out) - volt(d.gnd);
+            p += d.params.g_up(t) * vu * vu + d.params.g_dn(t) * vd * vd;
+        }
+        for (const TableConductance& tc : nl.table_conductances()) {
+            const double v = volt(tc.a) - volt(tc.b);
+            p += v * tc.iv(v);
         }
         return p;
     };
@@ -681,8 +697,9 @@ CheckResult check_energy_balance(const Netlist& nl, double dt, double tstop,
     // Tellegen: total absorbed power sums to zero, so the integrated terms
     // must cancel up to time-discretization error.
     const double residual = e_src + e_diss + d_cap + d_ind;
-    const double scale = std::max({std::abs(e_src), e_diss, std::abs(d_cap),
-                                   std::abs(d_ind), 1e-15});
+    const double scale =
+        std::max({std::abs(e_src), std::abs(e_diss), std::abs(d_cap),
+                  std::abs(d_ind), 1e-15});
     r.error = std::abs(residual) / scale;
     r.pass = r.error <= tol;
     if (!r.pass) {

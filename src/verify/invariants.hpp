@@ -72,8 +72,10 @@ double dc_path_resistance(const PlaneBem& bem, std::size_t n1, std::size_t n2);
 
 // --- netlist invariants -----------------------------------------------------
 
-/// Transient energy balance: absorbed source energy + resistive dissipation
-/// + change of stored (C and L, incl. mutual) energy must vanish.
+/// Transient energy balance: absorbed source energy + dissipation (resistors,
+/// driver pull-up/pull-down conductances, table conductances) + change of
+/// stored energy (C incl. driver output capacitors, L incl. mutual) must
+/// vanish.
 CheckResult check_energy_balance(const Netlist& nl, double dt, double tstop,
                                  double tol);
 

@@ -8,6 +8,7 @@
 #include "common/robust.hpp"
 #include "numeric/gmres.hpp"
 #include "numeric/lu.hpp"
+#include "obs/metrics.hpp"
 
 using namespace pgsi;
 
@@ -347,4 +348,26 @@ TEST(BlockGmres, RejectsInvalidArguments) {
     GmresOptions opt;
     opt.restart = 0;
     EXPECT_THROW(block_gmres(matrix_op(a), b, x, opt), InvalidArgument);
+}
+
+TEST(GmresCounters, IterationsImplySolves) {
+    // The obs counters must agree with each other after either entry point:
+    // Arnoldi iterations without a counted solve would leave a report with
+    // "0 solves" beside thousands of iterations.
+    obs::Counter& solves = obs::counter("gmres.solves");
+    obs::Counter& iters = obs::counter("gmres.iterations");
+    const std::size_t n = 30, p = 3;
+    const MatrixC a = random_system(n, 101u);
+
+    const std::uint64_t s0 = solves.value(), i0 = iters.value();
+    VectorC x(n, Complex{});
+    gmres(matrix_op(a), random_vec(n, 102u), x, {});
+    EXPECT_GT(iters.value(), i0);
+    EXPECT_EQ(solves.value(), s0 + 1);
+
+    const std::uint64_t s1 = solves.value(), i1 = iters.value();
+    std::vector<VectorC> xb(p, VectorC(n, Complex{}));
+    block_gmres(matrix_op(a), correlated_rhs(n, p, 103u, 0.1), xb, {});
+    EXPECT_GT(iters.value(), i1);
+    EXPECT_EQ(solves.value(), s1 + p); // one solve per right-hand side column
 }

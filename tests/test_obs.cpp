@@ -13,6 +13,7 @@
 #include "io/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "tests/test_util.hpp"
 
 using namespace pgsi;
 
@@ -314,6 +315,8 @@ TEST_F(ObsTest, TraceSummaryAggregatesByPath) {
 TEST_F(ObsTest, TransientRunEmitsSpansAndStats) {
     // Simple RC step: linear, so zero Newton iterations and one
     // factorization per integrator (BE on the first step, trapezoidal after).
+    // Without drivers or tables the border is empty and each of those is
+    // the whole-matrix interior factor.
     Netlist nl;
     const NodeId in = nl.node("in");
     const NodeId out = nl.node("out");
@@ -333,6 +336,8 @@ TEST_F(ObsTest, TransientRunEmitsSpansAndStats) {
     EXPECT_EQ(r.stats.newton_iterations, 0u);
     EXPECT_EQ(r.stats.step_rejections, 0u);
     EXPECT_EQ(r.stats.lu_factorizations, 2u);
+    EXPECT_EQ(r.stats.lti_factorizations, 2u);
+    EXPECT_EQ(r.stats.border_dim, 0u);
     EXPECT_EQ(r.stats.lu_solves, r.stats.steps);
     EXPECT_GT(r.stats.wall_seconds, 0.0);
 
@@ -340,28 +345,14 @@ TEST_F(ObsTest, TransientRunEmitsSpansAndStats) {
     EXPECT_NE(find_span(recs, "transient.run"), nullptr);
     EXPECT_NE(find_span(recs, "transient.run/transient.dcop"), nullptr);
     EXPECT_NE(find_span(recs, "transient.run/transient.factor"), nullptr);
+    EXPECT_NE(find_span(recs, "transient.run/transient.lti_setup"), nullptr);
 }
 
 TEST(ObsTelemetry, NonlinearTransientCountsNewtonIterations) {
     // Diode clamp driven by a pulse: every step runs the Newton relaxation
     // over the table element, so the iteration count must exceed the step
     // count while rejections stay zero for this well-behaved circuit.
-    Netlist nl;
-    const NodeId in = nl.node("in");
-    const NodeId d = nl.node("d");
-    nl.add_vsource("V1", in, nl.ground(),
-                   Source::pulse(0.0, 5.0, 0.0, 1e-10, 1e-10, 1e-9, 2e-9));
-    nl.add_resistor("R1", in, d, 100.0);
-    VectorD v, i;
-    for (double x = -5.0; x <= 0.6; x += 0.2) {
-        v.push_back(x);
-        i.push_back(0.0);
-    }
-    for (double x = 0.8; x <= 6.0; x += 0.2) {
-        v.push_back(x);
-        i.push_back((x - 0.6) * 0.1);
-    }
-    nl.add_table_conductance("D1", d, nl.ground(), std::move(v), std::move(i));
+    const Netlist nl = test::diode_clamp_netlist();
 
     TransientOptions opt;
     opt.dt = 2.5e-11;

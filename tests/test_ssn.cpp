@@ -3,24 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "si/ssn.hpp"
+#include "tests/test_util.hpp"
 
 using namespace pgsi;
-
-namespace {
-
-SsnModelOptions coarse() {
-    SsnModelOptions o;
-    o.mesh_pitch = 25e-3;
-    o.interior_nodes = 6;
-    o.prune_rel_tol = 0.05;
-    return o;
-}
-
-} // namespace
+using pgsi::test::coarse_ssn;
 
 TEST(Ssn, SwitchingSweepMonotonePlaneNoise) {
     const auto rows =
-        sweep_switching_drivers({1, 4, 16}, coarse(), 50e-12, 4e-9);
+        sweep_switching_drivers({1, 4, 16}, coarse_ssn(), 50e-12, 4e-9);
     ASSERT_EQ(rows.size(), 3u);
     EXPECT_EQ(rows[0].n_switching, 1);
     EXPECT_GT(rows[1].peak_plane_noise, rows[0].peak_plane_noise);
@@ -32,7 +22,7 @@ TEST(Ssn, DecapSweepReducesNoise) {
     proto.c = 100e-9;
     proto.esr = 30e-3;
     proto.esl = 1e-9;
-    const auto rows = sweep_decap_count(4, proto, coarse(), 50e-12, 4e-9);
+    const auto rows = sweep_decap_count(4, proto, coarse_ssn(), 50e-12, 4e-9);
     ASSERT_GE(rows.size(), 3u);
     EXPECT_EQ(rows.front().n_decaps, 0u);
     EXPECT_EQ(rows.back().n_decaps, 4u);
@@ -40,7 +30,7 @@ TEST(Ssn, DecapSweepReducesNoise) {
 }
 
 TEST(Ssn, WorstPatternGrowsMonotonically) {
-    auto plane = std::make_shared<PlaneModel>(make_ssn_eval_board(0), coarse());
+    auto plane = std::make_shared<PlaneModel>(make_ssn_eval_board(0), coarse_ssn());
     const Source input = Source::pulse(0, 1, 1e-9, 1e-9, 1e-9, 4e-9);
     const SwitchingPatternResult res =
         find_worst_switching_pattern(plane, 3, input, 50e-12, 4e-9);
@@ -53,7 +43,7 @@ TEST(Ssn, WorstPatternGrowsMonotonically) {
 }
 
 TEST(Ssn, WorstPatternValidation) {
-    auto plane = std::make_shared<PlaneModel>(make_ssn_eval_board(0), coarse());
+    auto plane = std::make_shared<PlaneModel>(make_ssn_eval_board(0), coarse_ssn());
     const Source input = Source::pulse(0, 1, 1e-9, 1e-9, 1e-9, 4e-9);
     EXPECT_THROW(find_worst_switching_pattern(plane, 0, input, 50e-12, 2e-9),
                  InvalidArgument);

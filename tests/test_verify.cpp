@@ -12,11 +12,13 @@
 #include <set>
 #include <sstream>
 
+#include "si/board.hpp"
 #include "si/board_file.hpp"
 #include "verify/invariants.hpp"
 #include "verify/scenario.hpp"
 #include "verify/shrink.hpp"
 #include "verify/verify.hpp"
+#include "tests/test_util.hpp"
 
 using namespace pgsi;
 using namespace pgsi::verify;
@@ -146,6 +148,26 @@ TEST(VerifyCheckers, EnergyBalanceHoldsOnGeneratedNetlists) {
             check_energy_balance(ns.netlist, ns.dt, ns.tstop, 0.03);
         EXPECT_TRUE(r.pass) << ns.summary << ": " << r.detail;
     }
+}
+
+TEST(VerifyCheckers, EnergyBalanceHoldsOnSsnDriverNetlist) {
+    // Sixteen drivers (four switching, each with its internal output
+    // capacitor) on an extracted plane: the driver dissipation and output
+    // capacitor energy terms must close the balance.
+    const SsnModel model(std::make_shared<PlaneModel>(
+        make_ssn_eval_board(4), test::coarse_ssn()));
+    const CheckResult r =
+        check_energy_balance(model.netlist(), 50e-12, 4e-9, 0.03);
+    EXPECT_TRUE(r.pass) << r.detail;
+    EXPECT_LE(r.error, r.tolerance);
+}
+
+TEST(VerifyCheckers, EnergyBalanceHoldsOnTableNetlist) {
+    // Pulse-driven diode clamp: the table conductance absorbs v·i(v).
+    const CheckResult r = check_energy_balance(test::diode_clamp_netlist(),
+                                               2.5e-11, 2e-9, 0.03);
+    EXPECT_TRUE(r.pass) << r.detail;
+    EXPECT_LE(r.error, r.tolerance);
 }
 
 TEST(VerifyShrink, MinimizesUnderSyntheticPredicate) {

@@ -80,7 +80,7 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 cd "$build_dir"
 if [[ $mode == thread && $# -eq 0 ]]; then
   ctest --output-on-failure -j"$(nproc)" \
-    -R 'Parallel|BemCache|Gemm|Lu\.|Cholesky|DirectSolver|Fft|Gmres|IterativeSolver|Robust|RobustEnv|ObsMetrics|ObsTest|ReportTest|JsonParser|BenchGate|ServeEnv|ServeEngine|ModelCache|Journal|Hmatrix|Aca'
+    -R 'Parallel|BemCache|Gemm|Lu\.|Cholesky|DirectSolver|Fft|Gmres|IterativeSolver|Robust|RobustEnv|ObsMetrics|ObsTest|ReportTest|JsonParser|BenchGate|ServeEnv|ServeEngine|ModelCache|Journal|Hmatrix|Aca|Transient'
 else
   ctest --output-on-failure -j"$(nproc)" "$@"
 fi
