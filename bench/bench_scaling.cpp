@@ -17,7 +17,6 @@
 #include "common/parallel.hpp"
 #include "em/iterative_solver.hpp"
 #include "em/solver.hpp"
-#include "em/sweep.hpp"
 #include "extract/equivalent_circuit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"
@@ -217,9 +216,9 @@ void write_scaling_json(const char* path, bool smoke) {
 
     // Dense-grid frequency sweeps through the iterative backend's sweep
     // engine (block multi-RHS GMRES, warm starts, subspace recycling) vs the
-    // same grid solved per-column cold, plus the adaptive driver that solves
-    // only where rational interpolation cannot be validated. The matvec
-    // reduction is the headline number the engine exists for.
+    // same grid solved cold: independent per-point port_impedance block
+    // solves fanned out over the pool. The matvec reduction is the headline
+    // number the engine exists for.
     std::fprintf(f, "  \"sweep\": [\n");
     const std::vector<int> ssizes =
         smoke ? std::vector<int>{18} : std::vector<int>{18, 48};
@@ -240,19 +239,17 @@ void write_scaling_json(const char* path, bool smoke) {
             freqs[i] = 1e8 + (9e8 - 1e8) * static_cast<double>(i) /
                                  static_cast<double>(nf - 1);
 
-        SolverOptions copt;
-        copt.backend = SolverBackend::Iterative;
-        copt.sweep.engine = false;
-        copt.sweep.block_solve = false;
-        copt.sweep.warm_start = false;
-        const IterativeSolver cold(bem, zs, copt);
+        SolverOptions iopt;
+        iopt.backend = SolverBackend::Iterative;
+        const IterativeSolver cold(bem, zs, iopt);
+        std::vector<MatrixC> zc(nf);
         auto t0 = std::chrono::steady_clock::now();
-        const auto zc = cold.sweep_impedance(freqs, ports);
+        par::parallel_for(nf, [&](std::size_t i) {
+            zc[i] = cold.port_impedance(freqs[i], ports);
+        });
         const double cold_s = seconds_since(t0);
 
-        SolverOptions eopt;
-        eopt.backend = SolverBackend::Iterative;
-        const IterativeSolver engine(bem, zs, eopt);
+        const IterativeSolver engine(bem, zs, iopt);
         t0 = std::chrono::steady_clock::now();
         const auto ze = engine.sweep_impedance(freqs, ports);
         const double engine_s = seconds_since(t0);
@@ -263,34 +260,21 @@ void write_scaling_json(const char* path, bool smoke) {
             static_cast<double>(cold.stats().matvecs) /
             static_cast<double>(std::max<std::size_t>(est.matvecs, 1));
 
-        // Adaptive driver over the same grid, on a fresh engine solver.
-        const IterativeSolver ada(bem, zs, eopt);
-        t0 = std::chrono::steady_clock::now();
-        const AdaptiveSweepResult ar =
-            adaptive_sweep_impedance(ada, freqs, ports, {});
-        const double adaptive_s = seconds_since(t0);
-        const double ada_err = max_rel_diff(ar.z, zc);
-
         std::fprintf(f,
                      "    {\"n\": %d, \"nodes\": %zu, \"sweep_freqs\": %zu,\n"
                      "     \"cold_s\": %.6f, \"engine_s\": %.6f, "
                      "\"cold_matvecs\": %zu, \"engine_matvecs\": %zu, "
                      "\"matvec_reduction\": %.2f,\n"
                      "     \"engine_z_rel_err\": %.3e, \"warm_starts\": %zu, "
-                     "\"recycle_hits\": %zu, \"saved_iterations\": %zu,\n"
-                     "     \"adaptive_s\": %.6f, \"adaptive_solves\": %zu, "
-                     "\"adaptive_refinements\": %zu, "
-                     "\"adaptive_z_rel_err\": %.3e}%s\n",
+                     "\"recycle_hits\": %zu, \"saved_iterations\": %zu}%s\n",
                      n, bem.node_count(), nf, cold_s, engine_s,
                      cold.stats().matvecs, est.matvecs, reduction, rel_err,
                      est.warm_starts, est.recycle_hits, est.saved_iterations,
-                     adaptive_s, ar.solves, ar.refinements, ada_err,
                      si + 1 < ns ? "," : "");
         std::printf("  n=%2d sweep(%zu f): cold %.3fs/%zu matvecs, engine "
-                    "%.3fs/%zu matvecs (%.1fx fewer), z rel err %.1e; "
-                    "adaptive %zu solves, err %.1e\n",
+                    "%.3fs/%zu matvecs (%.1fx fewer), z rel err %.1e\n",
                     n, nf, cold_s, cold.stats().matvecs, engine_s, est.matvecs,
-                    reduction, rel_err, ar.solves, ada_err);
+                    reduction, rel_err);
     }
     std::fprintf(f, "  ],\n");
 

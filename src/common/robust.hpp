@@ -132,9 +132,9 @@ struct RecoveryOptions {
     int source_steps = 8;
 
     // Iterative EM solver: escalation chain on a GMRES solve that misses
-    // SolverOptions::fail_tol.
+    // SolverOptions::fail_tol. The dense-LU fallback after it is always on
+    // under Recover; Strict turns both off.
     bool allow_precond_escalation = true;
-    bool allow_dense_fallback = true;
 
     /// 1-norm condition-number estimate above which a factorization emits a
     /// "robust.condition_warnings" counter tick (0 disables the estimate).

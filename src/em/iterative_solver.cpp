@@ -25,6 +25,14 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
         .count();
 }
 
+// Retained recycled-subspace dimension of the sweep engine: the most recent
+// solution vectors, orthonormalized, with their operator component products
+// cached so re-projecting at a new frequency costs no matvecs. Must sit above
+// the solution manifold's numerical rank over the band (typically 20–40 for a
+// decade-wide plane sweep) for deep warm starts; below it the eviction churn
+// discards the bracketing solutions the projection needs.
+constexpr std::size_t kRecycleDim = 48;
+
 // Conjugated inner product, serial for thread-count-invariant results.
 Complex cdot(const VectorC& a, const VectorC& b) {
     Complex s{};
@@ -44,7 +52,10 @@ IterativeSolver::IterativeSolver(const PlaneBem& bem, SurfaceImpedance zs,
 }
 
 void IterativeSolver::ensure_setup() const {
-    if (setup_done_) return;
+    std::call_once(setup_once_, [this] { setup(); });
+}
+
+void IterativeSolver::setup() const {
     PGSI_TRACE_SCOPE("em.iterative.setup");
     PGSI_ALLOC_SCOPE("em.iterative");
     const auto t0 = std::chrono::steady_clock::now();
@@ -184,7 +195,6 @@ void IterativeSolver::ensure_setup() const {
         });
     }
     stats_.setup_seconds += seconds_since(t0);
-    setup_done_ = true;
 }
 
 MatrixC IterativeSolver::solve_ports(
@@ -358,80 +368,74 @@ MatrixC IterativeSolver::solve_ports(
     // Initial guesses. With a recycled subspace U on hand, A(ω)·U recombines
     // from the cached component products (no operator applications), and
     // each column warm-starts from the least-squares projection
-    // x0 = U argmin_y |b − A(ω) U y|. With recycling off, the previous
-    // frequency's solutions seed verbatim.
+    // x0 = U argmin_y |b − A(ω) U y|.
     std::vector<VectorC> x0(p, VectorC(m, Complex{}));
-    if (sweep && options_.sweep.warm_start) {
+    if (sweep && !sweep->basis_u.empty()) {
         const std::size_t d = sweep->basis_u.size();
-        if (d > 0) {
-            std::vector<VectorC> au(d, VectorC(m));
-            for (std::size_t j = 0; j < d; ++j)
+        std::vector<VectorC> au(d, VectorC(m));
+        for (std::size_t j = 0; j < d; ++j)
+            for (std::size_t b = 0; b < m; ++b)
+                au[j][b] = zsv * sweep->basis_d[j][b] +
+                           jw * sweep->basis_l[j][b] +
+                           inv_jw * sweep->basis_s[j][b];
+        // Thin QR of [A·u_1 … A·u_d] by modified Gram-Schmidt; the
+        // least squares then solves through Qᴴ and back-substitution.
+        // (Normal equations would square A's conditioning and cap the
+        // projected residual orders of magnitude above what the
+        // subspace actually supports — the warm start lives or dies on
+        // that floor.) Columns A maps to near-dependence are dropped.
+        MatrixC rq(d, d);
+        std::vector<bool> keep(d, true);
+        for (std::size_t j = 0; j < d; ++j) {
+            const double an0 = norm2(au[j]);
+            for (std::size_t i = 0; i < j; ++i) {
+                if (!keep[i]) continue;
+                const Complex rij = cdot(au[i], au[j]);
+                rq(i, j) = rij;
+                const VectorC& qi = au[i];
                 for (std::size_t b = 0; b < m; ++b)
-                    au[j][b] = zsv * sweep->basis_d[j][b] +
-                               jw * sweep->basis_l[j][b] +
-                               inv_jw * sweep->basis_s[j][b];
-            // Thin QR of [A·u_1 … A·u_d] by modified Gram-Schmidt; the
-            // least squares then solves through Qᴴ and back-substitution.
-            // (Normal equations would square A's conditioning and cap the
-            // projected residual orders of magnitude above what the
-            // subspace actually supports — the warm start lives or dies on
-            // that floor.) Columns A maps to near-dependence are dropped.
-            MatrixC rq(d, d);
-            std::vector<bool> keep(d, true);
-            for (std::size_t j = 0; j < d; ++j) {
-                const double an0 = norm2(au[j]);
-                for (std::size_t i = 0; i < j; ++i) {
-                    if (!keep[i]) continue;
-                    const Complex rij = cdot(au[i], au[j]);
-                    rq(i, j) = rij;
-                    const VectorC& qi = au[i];
-                    for (std::size_t b = 0; b < m; ++b)
-                        au[j][b] -= rij * qi[b];
-                }
-                const double rjj = norm2(au[j]);
-                if (!(rjj > 1e-13 * an0)) {
-                    keep[j] = false;
-                    rq(j, j) = Complex(1.0, 0.0);
-                    continue;
-                }
-                rq(j, j) = rjj;
-                for (std::size_t b = 0; b < m; ++b) au[j][b] /= rjj;
+                    au[j][b] -= rij * qi[b];
             }
-            VectorC qb(d), y(d);
-            for (std::size_t k = 0; k < p; ++k) {
-                double rnum = 0, rden = 0;
-                for (std::size_t b = 0; b < m; ++b)
-                    rden += std::norm(rhs[k][b]);
-                double captured = 0;
-                for (std::size_t j = 0; j < d; ++j) {
-                    qb[j] = keep[j] ? cdot(au[j], rhs[k]) : Complex{};
-                    captured += std::norm(qb[j]);
-                }
-                rnum = std::max(0.0, rden - captured);
-                if (rden > 0 && rnum < 0.98 * rden) {
-                    // The subspace captures a meaningful part of this
-                    // column: take the projected guess.
-                    for (std::size_t j = d; j-- > 0;) {
-                        if (!keep[j]) {
-                            y[j] = Complex{};
-                            continue;
-                        }
-                        Complex acc = qb[j];
-                        for (std::size_t t = j + 1; t < d; ++t)
-                            acc -= rq(j, t) * y[t];
-                        y[j] = acc / rq(j, j);
-                    }
-                    for (std::size_t j = 0; j < d; ++j)
-                        for (std::size_t b = 0; b < m; ++b)
-                            x0[k][b] += y[j] * sweep->basis_u[j][b];
-                    ++recycle_hits;
-                }
+            const double rjj = norm2(au[j]);
+            if (!(rjj > 1e-13 * an0)) {
+                keep[j] = false;
+                rq(j, j) = Complex(1.0, 0.0);
+                continue;
             }
-            warm_started = true;
-        } else if (sweep->prev_solution.size() == p) {
-            x0 = sweep->prev_solution;
-            warm_started = true;
+            rq(j, j) = rjj;
+            for (std::size_t b = 0; b < m; ++b) au[j][b] /= rjj;
         }
+        VectorC qb(d), y(d);
+        for (std::size_t k = 0; k < p; ++k) {
+            double rnum = 0, rden = 0;
+            for (std::size_t b = 0; b < m; ++b)
+                rden += std::norm(rhs[k][b]);
+            double captured = 0;
+            for (std::size_t j = 0; j < d; ++j) {
+                qb[j] = keep[j] ? cdot(au[j], rhs[k]) : Complex{};
+                captured += std::norm(qb[j]);
+            }
+            rnum = std::max(0.0, rden - captured);
+            if (rden > 0 && rnum < 0.98 * rden) {
+                // The subspace captures a meaningful part of this
+                // column: take the projected guess.
+                for (std::size_t j = d; j-- > 0;) {
+                    if (!keep[j]) {
+                        y[j] = Complex{};
+                        continue;
+                    }
+                    Complex acc = qb[j];
+                    for (std::size_t t = j + 1; t < d; ++t)
+                        acc -= rq(j, t) * y[t];
+                    y[j] = acc / rq(j, j);
+                }
+                for (std::size_t j = 0; j < d; ++j)
+                    for (std::size_t b = 0; b < m; ++b)
+                        x0[k][b] += y[j] * sweep->basis_u[j][b];
+                ++recycle_hits;
+            }
+        }
+        warm_started = true;
     }
 
     // Column solves with recovery. `ok` / `colres` track each column's
@@ -446,15 +450,15 @@ MatrixC IterativeSolver::solve_ports(
         std::vector<std::size_t> pend;
         for (std::size_t k = 0; k < p; ++k)
             if (!ok[k]) pend.push_back(k);
-        if (options_.sweep.block_solve && pend.size() > 1) {
+        if (pend.size() > 1) {
             std::vector<VectorC> bcols(pend.size()), xcols(pend.size());
             for (std::size_t i = 0; i < pend.size(); ++i) {
                 bcols[i] = rhs[pend[i]];
                 xcols[i] = x0[pend[i]];
             }
             // The block shares one inner-iteration budget across its
-            // columns; scale it so each column keeps the same allowance the
-            // per-column path would grant.
+            // columns; scale it so each column keeps the allowance a
+            // single-column GMRES would get.
             GmresOptions bopt = options_.gmres;
             bopt.max_iterations *= pend.size();
             const BlockGmresResult br =
@@ -475,25 +479,22 @@ MatrixC IterativeSolver::solve_ports(
                 obs::stream_append(sid, static_cast<double>(pend.size()),
                                    static_cast<double>(br.iterations));
         } else {
-            for (const std::size_t k : pend) {
-                if (options_.recovery.cancel != nullptr)
-                    options_.recovery.cancel->poll("em.iterative.gmres");
-                VectorC v = x0[k];
-                const GmresResult gr =
-                    gmres(apply, rhs[k], v, options_.gmres, precond);
-                ++solves_attempted;
-                iters += gr.iterations;
-                matvecs += gr.matvecs;
-                restarts += gr.restarts;
-                colres[k] = gr.residual;
-                cur[k] = std::move(v);
-                ok[k] = colres[k] <= options_.fail_tol &&
-                        robust::all_finite(cur[k]);
-                if (!ok[k]) break; // escalate before touching later columns
-                if (sid != obs::kStreamNone)
-                    obs::stream_append(sid, static_cast<double>(k),
-                                       static_cast<double>(gr.iterations));
-            }
+            // A single pending column: plain restarted GMRES.
+            const std::size_t k = pend.front();
+            VectorC v = x0[k];
+            const GmresResult gr =
+                gmres(apply, rhs[k], v, options_.gmres, precond);
+            ++solves_attempted;
+            iters += gr.iterations;
+            matvecs += gr.matvecs;
+            restarts += gr.restarts;
+            colres[k] = gr.residual;
+            cur[k] = std::move(v);
+            ok[k] = colres[k] <= options_.fail_tol &&
+                    robust::all_finite(cur[k]);
+            if (ok[k] && sid != obs::kStreamNone)
+                obs::stream_append(sid, static_cast<double>(k),
+                                   static_cast<double>(gr.iterations));
         }
         for (std::size_t k = 0; k < p; ++k)
             if (!ok[k]) return false;
@@ -527,7 +528,7 @@ MatrixC IterativeSolver::solve_ports(
             if (!ok[k]) worst_bad = std::max(worst_bad, colres[k]);
     }
     // Escalation rung 2: dense LU for the whole frequency point.
-    if (!all_ok && recover && options_.recovery.allow_dense_fallback) {
+    if (!all_ok && recover) {
         if (sid != obs::kStreamNone)
             obs::stream_mark(sid, 0.0, "escalate:dense_fallback");
         robust::note_recovery(
@@ -593,45 +594,42 @@ MatrixC IterativeSolver::solve_ports(
     // orthonormal set keeps it orthonormal.
     std::size_t saved_iters = 0;
     if (sweep) {
-        if (options_.sweep.warm_start && options_.sweep.recycle_dim > 0) {
-            for (std::size_t k = 0; k < p; ++k) {
-                VectorC u = cur[k];
-                const double xn = norm2(u);
-                for (std::size_t j = 0; j < sweep->basis_u.size(); ++j) {
-                    const Complex c = cdot(sweep->basis_u[j], u);
-                    const VectorC& uj = sweep->basis_u[j];
-                    for (std::size_t b = 0; b < m; ++b) u[b] -= c * uj[b];
-                }
-                const double un = norm2(u);
-                if (!(un > 1e-10 * xn)) continue; // already spanned
-                for (std::size_t b = 0; b < m; ++b) u[b] /= un;
-                VectorC du(m), lu(m), su(m);
-                for (std::size_t b = 0; b < m; ++b)
-                    du[b] = zs_scale_[b] * u[b];
-                lop.apply(u, lu);
-                std::fill(tnode.begin(), tnode.end(), Complex{});
-                for (std::size_t b = 0; b < m; ++b) {
-                    tnode[branches[b].n1] += u[b];
-                    tnode[branches[b].n2] -= u[b];
-                }
-                pop.apply(tnode, unode);
-                for (std::size_t b = 0; b < m; ++b)
-                    su[b] = unode[branches[b].n1] - unode[branches[b].n2];
-                ++recycle_applies;
-                ++matvecs; // one full A-component application
-                sweep->basis_u.push_back(std::move(u));
-                sweep->basis_d.push_back(std::move(du));
-                sweep->basis_l.push_back(std::move(lu));
-                sweep->basis_s.push_back(std::move(su));
+        for (std::size_t k = 0; k < p; ++k) {
+            VectorC u = cur[k];
+            const double xn = norm2(u);
+            for (std::size_t j = 0; j < sweep->basis_u.size(); ++j) {
+                const Complex c = cdot(sweep->basis_u[j], u);
+                const VectorC& uj = sweep->basis_u[j];
+                for (std::size_t b = 0; b < m; ++b) u[b] -= c * uj[b];
             }
-            while (sweep->basis_u.size() > options_.sweep.recycle_dim) {
-                sweep->basis_u.erase(sweep->basis_u.begin());
-                sweep->basis_d.erase(sweep->basis_d.begin());
-                sweep->basis_l.erase(sweep->basis_l.begin());
-                sweep->basis_s.erase(sweep->basis_s.begin());
+            const double un = norm2(u);
+            if (!(un > 1e-10 * xn)) continue; // already spanned
+            for (std::size_t b = 0; b < m; ++b) u[b] /= un;
+            VectorC du(m), lu(m), su(m);
+            for (std::size_t b = 0; b < m; ++b)
+                du[b] = zs_scale_[b] * u[b];
+            lop.apply(u, lu);
+            std::fill(tnode.begin(), tnode.end(), Complex{});
+            for (std::size_t b = 0; b < m; ++b) {
+                tnode[branches[b].n1] += u[b];
+                tnode[branches[b].n2] -= u[b];
             }
+            pop.apply(tnode, unode);
+            for (std::size_t b = 0; b < m; ++b)
+                su[b] = unode[branches[b].n1] - unode[branches[b].n2];
+            ++recycle_applies;
+            ++matvecs; // one full A-component application
+            sweep->basis_u.push_back(std::move(u));
+            sweep->basis_d.push_back(std::move(du));
+            sweep->basis_l.push_back(std::move(lu));
+            sweep->basis_s.push_back(std::move(su));
         }
-        sweep->prev_solution = std::move(cur);
+        while (sweep->basis_u.size() > kRecycleDim) {
+            sweep->basis_u.erase(sweep->basis_u.begin());
+            sweep->basis_d.erase(sweep->basis_d.begin());
+            sweep->basis_l.erase(sweep->basis_l.begin());
+            sweep->basis_s.erase(sweep->basis_s.begin());
+        }
         if (!sweep->have_cold) {
             sweep->have_cold = true;
             sweep->cold_iterations = iters;
@@ -702,13 +700,10 @@ std::vector<MatrixC> IterativeSolver::sweep_impedance(
     PGSI_TRACE_SCOPE("em.solve.sweep");
     ensure_setup();
     std::vector<MatrixC> out(freqs_hz.size());
-    if (!options_.sweep.engine || freqs_hz.size() < 2) {
-        // Independent cold solves fanned out over the pool; the FFT/GMRES
-        // kernels run inline inside pool workers (the sweep level owns the
-        // parallelism).
-        par::parallel_for(freqs_hz.size(), [&](std::size_t i) {
-            out[i] = port_impedance(freqs_hz[i], port_nodes);
-        });
+    if (freqs_hz.size() < 2) {
+        // No other frequency to reuse work from.
+        if (!freqs_hz.empty())
+            out[0] = port_impedance(freqs_hz[0], port_nodes);
         return out;
     }
     // Sweep engine: frequencies run sequentially so each point reuses the
@@ -725,32 +720,25 @@ std::vector<MatrixC> IterativeSolver::sweep_impedance(
                                 ? obs::stream_open("em.sweep.iterations")
                                 : obs::kStreamNone;
     // Multilevel solve order: endpoints first, then level-by-level segment
-    // midpoints (breadth-first bisection). With subspace recycling on, each
-    // later point is bracketed by already-solved frequencies, so the
-    // warm-start projection interpolates instead of extrapolating — the
-    // projected initial residual drops by orders of magnitude, which is
-    // where the sweep's matvec savings come from. Without recycling the
-    // natural order is kept: the previous-solution seed wants adjacency.
-    std::vector<std::size_t> order;
+    // midpoints (breadth-first bisection). Each later point is bracketed by
+    // already-solved frequencies, so the warm-start projection interpolates
+    // instead of extrapolating — the projected initial residual drops by
+    // orders of magnitude, which is where the sweep's matvec savings come
+    // from.
+    std::vector<std::size_t> order{0, freqs_hz.size() - 1};
     order.reserve(freqs_hz.size());
-    if (options_.sweep.warm_start && options_.sweep.recycle_dim > 0) {
-        order.push_back(0);
-        order.push_back(freqs_hz.size() - 1);
-        std::vector<std::pair<std::size_t, std::size_t>> level{
-            {0, freqs_hz.size() - 1}};
-        while (!level.empty()) {
-            std::vector<std::pair<std::size_t, std::size_t>> next;
-            for (const auto& [lo, hi] : level) {
-                const std::size_t mid = lo + (hi - lo) / 2;
-                if (mid == lo || mid == hi) continue;
-                order.push_back(mid);
-                next.emplace_back(lo, mid);
-                next.emplace_back(mid, hi);
-            }
-            level = std::move(next);
+    std::vector<std::pair<std::size_t, std::size_t>> level{
+        {0, freqs_hz.size() - 1}};
+    while (!level.empty()) {
+        std::vector<std::pair<std::size_t, std::size_t>> next;
+        for (const auto& [lo, hi] : level) {
+            const std::size_t mid = lo + (hi - lo) / 2;
+            if (mid == lo || mid == hi) continue;
+            order.push_back(mid);
+            next.emplace_back(lo, mid);
+            next.emplace_back(mid, hi);
         }
-    } else {
-        for (std::size_t i = 0; i < freqs_hz.size(); ++i) order.push_back(i);
+        level = std::move(next);
     }
     SweepState sweep;
     for (const std::size_t i : order) {

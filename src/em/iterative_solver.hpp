@@ -21,6 +21,12 @@
 //     plaquette loops that the diagonal cannot see are captured by the
 //     tile's dense factorization.
 //
+// The port columns of one frequency solve as a single block GMRES against a
+// shared Arnoldi basis (a single column runs plain GMRES). A multi-point
+// sweep_impedance runs the sweep engine: frequencies solve sequentially in a
+// bisection order and each warm-starts from a recycled subspace of earlier
+// solutions (see sweep_impedance).
+//
 // Port impedances follow from V = (1/jω) Ppot (J − Pᵀ I). Results agree
 // with DirectSolver to the GMRES tolerance; a solve whose true residual
 // exceeds SolverOptions::fail_tol throws instead of returning a silently
@@ -43,10 +49,9 @@ namespace pgsi {
 /// it has processed.
 struct IterativeSolverStats {
     std::size_t frequencies = 0; ///< port_impedance evaluations
-    /// Column solves actually attempted (one per port column per attempt in
-    /// the per-column path; the full column count for a block solve). A
-    /// frequency that fell back to the dense solver contributes only the
-    /// columns GMRES actually worked on.
+    /// Column solves actually attempted: the pending column count of each
+    /// block solve, or one for a single-column GMRES. A frequency that fell
+    /// back to the dense solver contributes only the attempts GMRES made.
     std::size_t solves = 0;
     std::size_t block_solves = 0; ///< multi-RHS block GMRES calls
     std::size_t iterations = 0;  ///< total inner GMRES iterations
@@ -96,6 +101,19 @@ public:
         double freq_hz,
         const std::vector<std::size_t>& port_nodes) const override;
 
+    /// Sweep engine. A single frequency is one port_impedance call. Two or
+    /// more run sequentially in a multilevel (bisection) frequency order so
+    /// each point can reuse Krylov work from its predecessors: every new
+    /// frequency warm-starts from a recycled subspace spanning the solutions
+    /// at already-solved frequencies. Because the bisection order brackets
+    /// every later point between solved neighbors, the warm-start
+    /// least-squares projection interpolates the analytic solution manifold
+    /// x(ω) instead of extrapolating it, and A(ω) is affine in jω so the
+    /// subspace re-projects at any frequency with no operator applications
+    /// (the frequency-independent component products are cached). All
+    /// cross-frequency decisions are made serially, so sweep results stay
+    /// bitwise independent of the thread count; the FFT/tile kernels inside
+    /// each point still use the shared pool.
     std::vector<MatrixC> sweep_impedance(
         const VectorD& freqs_hz,
         const std::vector<std::size_t>& port_nodes) const override;
@@ -111,17 +129,14 @@ public:
     const robust::RecoveryReport& recovery_report() const { return report_; }
 
 private:
-    /// Cross-frequency state threaded through one sweep_impedance call when
-    /// the sweep engine is on. Owned by the (sequential) sweep loop — never
+    /// Cross-frequency state threaded through one multi-point
+    /// sweep_impedance call. Owned by the (sequential) sweep loop — never
     /// shared between threads.
     struct SweepState {
         /// Frequency-independent part of each port column's right-hand side
         /// (P Ppot e_port differences); the per-frequency rhs is 1/jω times
         /// this, so repeat frequencies skip the potential-operator apply.
         std::vector<VectorC> rhs_base;
-        /// Previous frequency's solution columns, the warm-start seed when
-        /// recycling is off.
-        std::vector<VectorC> prev_solution;
         /// Recycled subspace: orthonormal basis u with the operator
         /// component products cached per vector (d = len/w scaling, l = L·u,
         /// s = P Ppot Pᵀ u), so A(ω)·u recombines at any ω without matvecs.
@@ -132,7 +147,10 @@ private:
         bool have_cold = false;
     };
 
+    /// Runs setup() exactly once, even under concurrent port_impedance
+    /// calls.
     void ensure_setup() const;
+    void setup() const;
     MatrixC solve_ports(double freq_hz,
                         const std::vector<std::size_t>& port_nodes,
                         SweepState* sweep) const;
@@ -142,7 +160,7 @@ private:
     SurfaceImpedance zs_;
     SolverOptions options_;
 
-    mutable bool setup_done_ = false;
+    mutable std::once_flag setup_once_;
     /// ACA-compressed P and L operators when the setup chose the H-matrix
     /// path (see SolverOptions::hmatrix); empty on the Toeplitz/dense paths.
     mutable std::optional<InteractionOperator> hm_pop_, hm_lop_;
@@ -158,11 +176,11 @@ private:
     /// Current preconditioner rung. Escalation is sticky for the lifetime of
     /// the solver: once a stall promoted Diagonal → NearFieldBlock, every
     /// later frequency starts from the stronger kind instead of re-paying
-    /// the stall. Atomic because legacy (non-engine) sweeps solve
-    /// frequencies on pool workers.
+    /// the stall. Atomic because port_impedance is public and const:
+    /// callers may solve several frequencies on one solver concurrently.
     mutable std::atomic<PreconditionerKind> active_precond_;
     mutable std::atomic<bool> escalation_noted_{false}; // report once
-    mutable std::mutex stats_mu_; // sweeps update stats_ from pool workers
+    mutable std::mutex stats_mu_; // concurrent port_impedance calls
     mutable IterativeSolverStats stats_;
     mutable robust::RecoveryReport report_;
     mutable std::mutex dense_mu_; // lazy dense fallback construction

@@ -26,50 +26,14 @@ enum class SolverBackend {
               ///< non-uniform meshes) and is large enough to profit;
               ///< Direct otherwise
     Direct,   ///< dense LU per frequency (reference path)
-    Iterative ///< matrix-free GMRES (FFT or H-matrix operators) per column
+    Iterative ///< matrix-free block GMRES (FFT or H-matrix operators),
+              ///< swept by the cross-frequency sweep engine
 };
 
 /// Preconditioner applied inside the iterative backend's GMRES.
 enum class PreconditionerKind {
     Diagonal,      ///< Jacobi on the branch system (cheapest, weak)
     NearFieldBlock ///< block-Jacobi over geometric tiles of current cells
-};
-
-/// Sweep-engine knobs of the iterative backend. Multi-frequency sweeps run
-/// sequentially in a multilevel (bisection) frequency order so each point
-/// can reuse Krylov work from its predecessors: the port columns of one
-/// frequency solve as a single block against a shared Arnoldi basis, and
-/// each new frequency warm-starts from a recycled subspace spanning the
-/// solutions at already-solved frequencies. Because the bisection order
-/// brackets every later point between solved neighbors, the warm-start
-/// least-squares projection interpolates the analytic solution manifold
-/// x(ω) instead of extrapolating it, and A(ω) is affine in jω so the
-/// subspace re-projects at any frequency with no operator applications
-/// (the frequency-independent component products are cached). All
-/// cross-frequency decisions are made serially, so sweep results stay
-/// bitwise independent of the thread count; the FFT/tile kernels inside
-/// each point still use the shared pool.
-struct SweepOptions {
-    /// Route sweep_impedance calls with 2+ points through the sweep engine.
-    /// Off: every frequency is an independent cold solve fanned out over the
-    /// pool (the pre-engine behavior).
-    bool engine = true;
-    /// Solve all port columns of a frequency as one multi-RHS block GMRES
-    /// (shared Arnoldi basis, per-column convergence, deflation). Off: one
-    /// restarted GMRES per column. Applies to single-point solves too.
-    bool block_solve = true;
-    /// Seed each frequency's columns from the recycled subspace (or, with
-    /// recycle_dim == 0, from the previous frequency's solutions verbatim).
-    bool warm_start = true;
-    /// Retained recycled-subspace dimension: the most recent solution
-    /// vectors, orthonormalized, with their operator component products
-    /// cached so re-projecting at a new frequency costs no matvecs. Must
-    /// sit above the solution manifold's numerical rank over the band
-    /// (typically 20–40 for a decade-wide plane sweep) for deep warm
-    /// starts; below it the eviction churn discards the bracketing
-    /// solutions the projection needs.
-    /// 0 disables recycling (plain previous-solution warm starts remain).
-    std::size_t recycle_dim = 48;
 };
 
 /// Backend selection and iterative-path tuning knobs.
@@ -93,11 +57,12 @@ struct SolverOptions {
     /// returning a silently inaccurate Z.
     double fail_tol = 1e-8;
     /// Recovery policy of the iterative backend. Under Recover (default) a
-    /// stalled GMRES column escalates Diagonal → NearFieldBlock and finally
-    /// falls back to the dense direct solver for that frequency; Strict
-    /// preserves the throw-on-stall behavior. An escalated preconditioner is
-    /// sticky: later frequencies on the same solver start from the stronger
-    /// kind instead of re-paying the stall.
+    /// stalled GMRES solve escalates Diagonal → NearFieldBlock (when
+    /// allow_precond_escalation is set) and then always falls back to the
+    /// dense direct solver for that frequency; Strict turns both rungs off
+    /// and preserves the throw-on-stall behavior. An escalated
+    /// preconditioner is sticky: later frequencies on the same solver start
+    /// from the stronger kind instead of re-paying the stall.
     robust::RecoveryOptions recovery;
     /// ACA/H-matrix operator-compression knobs of the iterative backend on
     /// non-uniform meshes (em/hmatrix.hpp). Under HmatrixUse::Auto the setup
@@ -105,12 +70,10 @@ struct SolverOptions {
     /// above hmatrix.node_threshold nodes; Force always compresses;
     /// Off keeps the dense-product fallback.
     HmatrixOptions hmatrix;
-    /// Sweep-engine behavior (block solves, warm starts, recycling).
-    SweepOptions sweep;
 };
 
 /// Common interface of the frequency-domain plane solvers: Z-parameters at
-/// chosen mesh nodes, one frequency at a time or swept in parallel.
+/// chosen mesh nodes, one frequency at a time or swept over a grid.
 class PlaneSolver {
 public:
     virtual ~PlaneSolver() = default;
@@ -122,8 +85,9 @@ public:
     virtual MatrixC port_impedance(
         double freq_hz, const std::vector<std::size_t>& port_nodes) const = 0;
 
-    /// Z(f) for each frequency; points are independent solves and run in
-    /// parallel on the shared pgsi::par pool.
+    /// Z(f) for each frequency. DirectSolver solves the points
+    /// independently in parallel; IterativeSolver runs them through its
+    /// sequential sweep engine, reusing Krylov work across frequencies.
     virtual std::vector<MatrixC> sweep_impedance(
         const VectorD& freqs_hz,
         const std::vector<std::size_t>& port_nodes) const = 0;

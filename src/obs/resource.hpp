@@ -68,13 +68,9 @@ std::size_t peak_rss_bytes() noexcept;
 
 } // namespace pgsi::obs
 
-#ifdef PGSI_OBS_DISABLED
-#define PGSI_ALLOC_SCOPE(tag) ((void)0)
-#else
 #ifndef PGSI_OBS_CONCAT
 #define PGSI_OBS_CONCAT2(a, b) a##b
 #define PGSI_OBS_CONCAT(a, b) PGSI_OBS_CONCAT2(a, b)
 #endif
 #define PGSI_ALLOC_SCOPE(tag) \
     ::pgsi::obs::AllocScope PGSI_OBS_CONCAT(pgsi_obs_alloc_, __LINE__)(tag)
-#endif

@@ -11,7 +11,7 @@
 // Cost model: tracing is off unless PGSI_TRACE is set in the environment (or
 // set_trace_enabled(true) is called). When off, a PGSI_TRACE_SCOPE costs one
 // relaxed atomic load and nothing else — no clock read, no allocation, no
-// lock. Defining PGSI_OBS_DISABLED at compile time removes even that.
+// lock.
 #pragma once
 
 #include <atomic>
@@ -99,11 +99,7 @@ std::string json_escape(std::string_view s);
 
 } // namespace pgsi::obs
 
-#ifdef PGSI_OBS_DISABLED
-#define PGSI_TRACE_SCOPE(name) ((void)0)
-#else
 #define PGSI_OBS_CONCAT2(a, b) a##b
 #define PGSI_OBS_CONCAT(a, b) PGSI_OBS_CONCAT2(a, b)
 #define PGSI_TRACE_SCOPE(name) \
     ::pgsi::obs::SpanScope PGSI_OBS_CONCAT(pgsi_obs_span_, __LINE__)(name)
-#endif

@@ -275,41 +275,49 @@ TEST(IterativeSolver, StalledSolveRecoversThroughDenseFallback) {
     EXPECT_LT(max_rel_diff(z, zd), 1e-8);
 }
 
-// Regression: a dense fallback used to charge the stats with the full port
-// count of column solves (even the columns GMRES never reached after the
-// stall) and dropped the residuals of the columns that *did* complete from
-// the worst-residual telemetry. With the stall injected on the second of
-// three per-column solves, only the two attempted columns may count, and the
-// first (completed) column's residual must survive into worst_residual.
+// A dense fallback charges the stats only with the GMRES work that actually
+// ran. Three ports solve as one block, so the injected stall fails that one
+// block_gmres call and all three columns it attempted; no column completed,
+// so none contributes a residual. A single port runs plain GMRES and counts
+// one attempted solve.
 TEST(IterativeSolver, DenseFallbackAttributesOnlyAttemptedSolves) {
     const PlaneBem bem = make_bem(holey_mesh());
     const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
-    SolverOptions opt = iterative_options();
-    opt.sweep.block_solve = false; // per-column path: one gmres() per port
-    const IterativeSolver iterative(bem, zs, opt);
+    const DirectSolver direct(bem, zs);
     const std::vector<std::size_t> ports{
         bem.mesh().nearest_node({0.002, 0.002}, 0),
         bem.mesh().nearest_node({0.018, 0.014}, 0),
         bem.mesh().nearest_node({0.002, 0.014}, 0)};
+    {
+        const IterativeSolver iterative(bem, zs, iterative_options());
+        robust::FaultInjector::arm("gmres.stall", 1);
+        const MatrixC z = iterative.port_impedance(1e9, ports);
+        robust::FaultInjector::disarm_all();
 
-    robust::FaultInjector::arm("gmres.stall", 2);
-    const MatrixC z = iterative.port_impedance(1e9, ports);
-    robust::FaultInjector::disarm_all();
+        const IterativeSolverStats& st = iterative.stats();
+        EXPECT_EQ(st.solves, 3u);
+        EXPECT_EQ(st.block_solves, 1u);
+        EXPECT_EQ(st.dense_fallbacks, 1u);
+        // The ladder had no Diagonal rung to escalate from, so the dense
+        // fallback ran immediately.
+        EXPECT_EQ(st.precond_escalations, 0u);
+        EXPECT_EQ(st.worst_residual, 0.0);
+        EXPECT_LT(max_rel_diff(z, direct.port_impedance(1e9, ports)), 1e-8);
+    }
+    {
+        const std::vector<std::size_t> one{ports[0]};
+        const IterativeSolver iterative(bem, zs, iterative_options());
+        robust::FaultInjector::arm("gmres.stall", 1);
+        const MatrixC z = iterative.port_impedance(1e9, one);
+        robust::FaultInjector::disarm_all();
 
-    const IterativeSolverStats& st = iterative.stats();
-    EXPECT_EQ(st.dense_fallbacks, 1u);
-    // Column 1 completed, column 2 stalled, column 3 was never attempted
-    // (the attempt aborts to escalate); the ladder had no Diagonal rung to
-    // escalate from, so the dense fallback ran immediately.
-    EXPECT_EQ(st.solves, 2u);
-    EXPECT_EQ(st.precond_escalations, 0u);
-    // The completed column's true residual is real work that happened; it
-    // must fold into the telemetry even though dense results replaced it.
-    EXPECT_GT(st.worst_residual, 0.0);
-    EXPECT_LE(st.worst_residual, opt.fail_tol);
-
-    const DirectSolver direct(bem, zs);
-    EXPECT_LT(max_rel_diff(z, direct.port_impedance(1e9, ports)), 1e-8);
+        const IterativeSolverStats& st = iterative.stats();
+        EXPECT_EQ(st.solves, 1u);
+        EXPECT_EQ(st.block_solves, 0u);
+        EXPECT_EQ(st.dense_fallbacks, 1u);
+        EXPECT_EQ(st.precond_escalations, 0u);
+        EXPECT_LT(max_rel_diff(z, direct.port_impedance(1e9, one)), 1e-8);
+    }
 }
 
 // A stall-driven Diagonal -> NearFieldBlock escalation is sticky: later

@@ -605,7 +605,6 @@ TEST_F(Robust, EscalateOneRungIsMonotonicallyMoreForgiving) {
     robust::RecoveryOptions base;
     base.policy = robust::RecoveryPolicy::Strict;
     base.allow_precond_escalation = false;
-    base.allow_dense_fallback = false;
     robust::RecoveryOptions rung = base;
     for (int k = 0; k < 3; ++k) {
         const robust::RecoveryOptions next = robust::escalate_one_rung(rung);
@@ -616,7 +615,6 @@ TEST_F(Robust, EscalateOneRungIsMonotonicallyMoreForgiving) {
         EXPECT_GE(next.gmin_start, rung.gmin_start);
         EXPECT_GT(next.source_steps, rung.source_steps);
         EXPECT_TRUE(next.allow_precond_escalation);
-        EXPECT_TRUE(next.allow_dense_fallback);
         rung = next;
     }
     EXPECT_LE(rung.gmin_start, 1e-1);
