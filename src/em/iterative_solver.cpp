@@ -33,13 +33,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 // discards the bracketing solutions the projection needs.
 constexpr std::size_t kRecycleDim = 48;
 
-// Conjugated inner product, serial for thread-count-invariant results.
-Complex cdot(const VectorC& a, const VectorC& b) {
-    Complex s{};
-    for (std::size_t i = 0; i < a.size(); ++i) s += std::conj(a[i]) * b[i];
-    return s;
-}
-
 } // namespace
 
 IterativeSolver::IterativeSolver(const PlaneBem& bem, SurfaceImpedance zs,
@@ -120,11 +113,6 @@ void IterativeSolver::setup() const {
         fold(*hm_lop_);
         stats_.hmatrix_compression =
             elems2 > 0 ? static_cast<double>(stored) / elems2 : 1.0;
-    } else {
-        // Force the lazy operator builds (kernel spectra or dense fallbacks)
-        // before any solve fans out over the pool.
-        bem_.potential_operator();
-        bem_.inductance_operator();
     }
 
     const auto& branches = bem_.mesh().branches();
@@ -132,8 +120,24 @@ void IterativeSolver::setup() const {
     for (std::size_t b = 0; b < branches.size(); ++b)
         zs_scale_[b] = branches[b].length() / branches[b].width();
 
-    // The tile partition is also needed when escalation may promote a
-    // Diagonal run to NearFieldBlock mid-sweep.
+    // A(ω) = Zs + jωL + S/jω is affine in the frequency-independent L and
+    // S = Pᵀ Ppot P, so the preconditioner's tile blocks and diagonals are
+    // cached once, here, from whichever operators are active; every
+    // frequency then reassembles them without sampling a single kernel
+    // entry (on the compressed path each one is a Galerkin quadrature).
+    const InteractionOperator& pop =
+        hm_pop_ ? *hm_pop_ : bem_.potential_operator();
+    const InteractionOperator& lop =
+        hm_lop_ ? *hm_lop_ : bem_.inductance_operator();
+    const auto s_entry = [&](std::size_t a, std::size_t b) {
+        return pop.entry(branches[a].n1, branches[b].n1) -
+               pop.entry(branches[a].n1, branches[b].n2) -
+               pop.entry(branches[a].n2, branches[b].n1) +
+               pop.entry(branches[a].n2, branches[b].n2);
+    };
+
+    // The tiles are also needed when escalation may promote a Diagonal run
+    // to NearFieldBlock mid-sweep.
     const bool want_tiles =
         options_.preconditioner == PreconditionerKind::NearFieldBlock ||
         (options_.recovery.policy == robust::RecoveryPolicy::Recover &&
@@ -158,42 +162,28 @@ void IterativeSolver::setup() const {
         tiles_.clear();
         tiles_.reserve(groups.size());
         for (auto& [key, ids] : groups) tiles_.push_back(std::move(ids));
-    }
 
-    // On the compressed path every entry() is a Galerkin quadrature, so
-    // re-assembling preconditioner tiles per frequency would dwarf the
-    // GMRES work. A(ω) = Zs + jωL + S/jω is affine: cache the
-    // frequency-independent L and S blocks once, here.
-    if (hm_pop_) {
-        const auto s_entry = [&](std::size_t a, std::size_t b) {
-            return hm_pop_->entry(branches[a].n1, branches[b].n1) -
-                   hm_pop_->entry(branches[a].n1, branches[b].n2) -
-                   hm_pop_->entry(branches[a].n2, branches[b].n1) +
-                   hm_pop_->entry(branches[a].n2, branches[b].n2);
-        };
-        if (want_tiles) {
-            tile_l_.resize(tiles_.size());
-            tile_s_.resize(tiles_.size());
-            par::parallel_for(tiles_.size(), [&](std::size_t ti) {
-                const auto& ids = tiles_[ti];
-                MatrixD lb(ids.size(), ids.size());
-                MatrixD sb(ids.size(), ids.size());
-                for (std::size_t r = 0; r < ids.size(); ++r)
-                    for (std::size_t c = 0; c < ids.size(); ++c) {
-                        lb(r, c) = hm_lop_->entry(ids[r], ids[c]);
-                        sb(r, c) = s_entry(ids[r], ids[c]);
-                    }
-                tile_l_[ti] = std::move(lb);
-                tile_s_[ti] = std::move(sb);
-            });
-        }
-        diag_l_.resize(branches.size());
-        diag_s_.resize(branches.size());
-        par::parallel_for(branches.size(), [&](std::size_t b) {
-            diag_l_[b] = hm_lop_->entry(b, b);
-            diag_s_[b] = s_entry(b, b);
+        tile_l_.resize(tiles_.size());
+        tile_s_.resize(tiles_.size());
+        par::parallel_for(tiles_.size(), [&](std::size_t ti) {
+            const auto& ids = tiles_[ti];
+            MatrixD lb(ids.size(), ids.size());
+            MatrixD sb(ids.size(), ids.size());
+            for (std::size_t r = 0; r < ids.size(); ++r)
+                for (std::size_t c = 0; c < ids.size(); ++c) {
+                    lb(r, c) = lop.entry(ids[r], ids[c]);
+                    sb(r, c) = s_entry(ids[r], ids[c]);
+                }
+            tile_l_[ti] = std::move(lb);
+            tile_s_[ti] = std::move(sb);
         });
     }
+    diag_l_.resize(branches.size());
+    diag_s_.resize(branches.size());
+    par::parallel_for(branches.size(), [&](std::size_t b) {
+        diag_l_[b] = lop.entry(b, b);
+        diag_s_[b] = s_entry(b, b);
+    });
     stats_.setup_seconds += seconds_since(t0);
 }
 
@@ -238,20 +228,6 @@ MatrixC IterativeSolver::solve_ports(
                    inv_jw * (unode[branches[b].n1] - unode[branches[b].n2]);
     };
 
-    // Exact A entries for the preconditioner blocks, via the operators'
-    // displacement-table lookups (no dense matrix is ever formed).
-    auto s_entry = [&](std::size_t a, std::size_t b) {
-        return pop.entry(branches[a].n1, branches[b].n1) -
-               pop.entry(branches[a].n1, branches[b].n2) -
-               pop.entry(branches[a].n2, branches[b].n1) +
-               pop.entry(branches[a].n2, branches[b].n2);
-    };
-    auto a_entry = [&](std::size_t a, std::size_t b) {
-        Complex v = jw * lop.entry(a, b) + inv_jw * s_entry(a, b);
-        if (a == b) v += zsb[a];
-        return v;
-    };
-
     // Preconditioner state is per-frequency (tile factors depend on ω); the
     // builder caches, so escalating Diagonal → NearFieldBlock mid-call only
     // pays for the blocks once.
@@ -264,22 +240,13 @@ MatrixC IterativeSolver::solve_ports(
                 tile_lu.resize(tiles_.size());
                 par::parallel_for(tiles_.size(), [&](std::size_t ti) {
                     const auto& ids = tiles_[ti];
+                    const MatrixD& lb = tile_l_[ti];
+                    const MatrixD& sb = tile_s_[ti];
                     MatrixC blk(ids.size(), ids.size());
-                    if (!tile_l_.empty()) {
-                        // Compressed path: reassemble from the cached
-                        // frequency-independent blocks, zero kernel evals.
-                        const MatrixD& lb = tile_l_[ti];
-                        const MatrixD& sb = tile_s_[ti];
-                        for (std::size_t r = 0; r < ids.size(); ++r) {
-                            for (std::size_t c = 0; c < ids.size(); ++c)
-                                blk(r, c) =
-                                    jw * lb(r, c) + inv_jw * sb(r, c);
-                            blk(r, r) += zsb[ids[r]];
-                        }
-                    } else {
-                        for (std::size_t r = 0; r < ids.size(); ++r)
-                            for (std::size_t c = 0; c < ids.size(); ++c)
-                                blk(r, c) = a_entry(ids[r], ids[c]);
+                    for (std::size_t r = 0; r < ids.size(); ++r) {
+                        for (std::size_t c = 0; c < ids.size(); ++c)
+                            blk(r, c) = jw * lb(r, c) + inv_jw * sb(r, c);
+                        blk(r, r) += zsb[ids[r]];
                     }
                     tile_lu[ti] =
                         std::make_unique<const Lu<Complex>>(std::move(blk));
@@ -300,14 +267,9 @@ MatrixC IterativeSolver::solve_ports(
         } else {
             if (dinv.empty()) {
                 dinv.resize(m);
-                if (!diag_l_.empty()) {
-                    for (std::size_t b = 0; b < m; ++b)
-                        dinv[b] = 1.0 / (jw * diag_l_[b] +
-                                         inv_jw * diag_s_[b] + zsb[b]);
-                } else {
-                    for (std::size_t b = 0; b < m; ++b)
-                        dinv[b] = 1.0 / a_entry(b, b);
-                }
+                for (std::size_t b = 0; b < m; ++b)
+                    dinv[b] = 1.0 / (jw * diag_l_[b] + inv_jw * diag_s_[b] +
+                                     zsb[b]);
             }
             precond = [&](const VectorC& x, VectorC& y) {
                 y.resize(m);
@@ -328,8 +290,9 @@ MatrixC IterativeSolver::solve_ports(
     std::size_t escalations = 0, block_solves = 0, solves_attempted = 0;
     std::size_t recycle_hits = 0, recycle_applies = 0;
     bool warm_started = false;
-    // Convergence stream: GMRES iterations per port column at this
-    // frequency, with marks where the preconditioner ladder escalated.
+    // Convergence stream: one point per block GMRES attempt at this
+    // frequency (pending columns, iterations), with marks where the
+    // preconditioner ladder escalated.
     const std::size_t sid = obs::streams_enabled()
                                 ? obs::stream_open("em.iterative.columns")
                                 : obs::kStreamNone;
@@ -390,7 +353,7 @@ MatrixC IterativeSolver::solve_ports(
             const double an0 = norm2(au[j]);
             for (std::size_t i = 0; i < j; ++i) {
                 if (!keep[i]) continue;
-                const Complex rij = cdot(au[i], au[j]);
+                const Complex rij = dot(au[i], au[j]);
                 rq(i, j) = rij;
                 const VectorC& qi = au[i];
                 for (std::size_t b = 0; b < m; ++b)
@@ -412,7 +375,7 @@ MatrixC IterativeSolver::solve_ports(
                 rden += std::norm(rhs[k][b]);
             double captured = 0;
             for (std::size_t j = 0; j < d; ++j) {
-                qb[j] = keep[j] ? cdot(au[j], rhs[k]) : Complex{};
+                qb[j] = keep[j] ? dot(au[j], rhs[k]) : Complex{};
                 captured += std::norm(qb[j]);
             }
             rnum = std::max(0.0, rden - captured);
@@ -450,52 +413,32 @@ MatrixC IterativeSolver::solve_ports(
         std::vector<std::size_t> pend;
         for (std::size_t k = 0; k < p; ++k)
             if (!ok[k]) pend.push_back(k);
-        if (pend.size() > 1) {
-            std::vector<VectorC> bcols(pend.size()), xcols(pend.size());
-            for (std::size_t i = 0; i < pend.size(); ++i) {
-                bcols[i] = rhs[pend[i]];
-                xcols[i] = x0[pend[i]];
-            }
-            // The block shares one inner-iteration budget across its
-            // columns; scale it so each column keeps the allowance a
-            // single-column GMRES would get.
-            GmresOptions bopt = options_.gmres;
-            bopt.max_iterations *= pend.size();
-            const BlockGmresResult br =
-                block_gmres(apply, bcols, xcols, bopt, precond);
-            ++block_solves;
-            solves_attempted += pend.size();
-            iters += br.iterations;
-            matvecs += br.matvecs;
-            restarts += br.cycles;
-            for (std::size_t i = 0; i < pend.size(); ++i) {
-                const std::size_t k = pend[i];
-                colres[k] = br.residuals[i];
-                cur[k] = std::move(xcols[i]);
-                ok[k] = colres[k] <= options_.fail_tol &&
-                        robust::all_finite(cur[k]);
-            }
-            if (sid != obs::kStreamNone)
-                obs::stream_append(sid, static_cast<double>(pend.size()),
-                                   static_cast<double>(br.iterations));
-        } else {
-            // A single pending column: plain restarted GMRES.
-            const std::size_t k = pend.front();
-            VectorC v = x0[k];
-            const GmresResult gr =
-                gmres(apply, rhs[k], v, options_.gmres, precond);
-            ++solves_attempted;
-            iters += gr.iterations;
-            matvecs += gr.matvecs;
-            restarts += gr.restarts;
-            colres[k] = gr.residual;
-            cur[k] = std::move(v);
+        std::vector<VectorC> bcols(pend.size()), xcols(pend.size());
+        for (std::size_t i = 0; i < pend.size(); ++i) {
+            bcols[i] = rhs[pend[i]];
+            xcols[i] = x0[pend[i]];
+        }
+        // The block shares one inner-iteration budget across its columns;
+        // scale it so each column keeps the allowance of a one-column solve.
+        GmresOptions bopt = options_.gmres;
+        bopt.max_iterations *= pend.size();
+        const BlockGmresResult br =
+            block_gmres(apply, bcols, xcols, bopt, precond);
+        ++block_solves;
+        solves_attempted += pend.size();
+        iters += br.iterations;
+        matvecs += br.matvecs;
+        restarts += br.cycles;
+        for (std::size_t i = 0; i < pend.size(); ++i) {
+            const std::size_t k = pend[i];
+            colres[k] = br.residuals[i];
+            cur[k] = std::move(xcols[i]);
             ok[k] = colres[k] <= options_.fail_tol &&
                     robust::all_finite(cur[k]);
-            if (ok[k] && sid != obs::kStreamNone)
-                obs::stream_append(sid, static_cast<double>(k),
-                                   static_cast<double>(gr.iterations));
         }
+        if (sid != obs::kStreamNone)
+            obs::stream_append(sid, static_cast<double>(pend.size()),
+                               static_cast<double>(br.iterations));
         for (std::size_t k = 0; k < p; ++k)
             if (!ok[k]) return false;
         return true;
@@ -598,7 +541,7 @@ MatrixC IterativeSolver::solve_ports(
             VectorC u = cur[k];
             const double xn = norm2(u);
             for (std::size_t j = 0; j < sweep->basis_u.size(); ++j) {
-                const Complex c = cdot(sweep->basis_u[j], u);
+                const Complex c = dot(sweep->basis_u[j], u);
                 const VectorC& uj = sweep->basis_u[j];
                 for (std::size_t b = 0; b < m; ++b) u[b] -= c * uj[b];
             }
@@ -698,24 +641,28 @@ MatrixC IterativeSolver::port_impedance(
 std::vector<MatrixC> IterativeSolver::sweep_impedance(
     const VectorD& freqs_hz, const std::vector<std::size_t>& port_nodes) const {
     PGSI_TRACE_SCOPE("em.solve.sweep");
-    ensure_setup();
     std::vector<MatrixC> out(freqs_hz.size());
-    if (freqs_hz.size() < 2) {
-        // No other frequency to reuse work from.
-        if (!freqs_hz.empty())
-            out[0] = port_impedance(freqs_hz[0], port_nodes);
-        return out;
-    }
-    // Sweep engine: frequencies run sequentially so each point reuses the
-    // previous points' Krylov work (warm starts, recycled subspace, cached
-    // rhs bases). The kernels inside each point still use the pool, and all
-    // cross-frequency decisions are serial, so results are bitwise
-    // independent of the thread count. Validation of the inputs matches
-    // port_impedance.
+    if (freqs_hz.empty()) return out;
+    // Validate the whole grid before setup or any solve, as port_impedance
+    // does for its one point: the bisection order below reaches a bad
+    // frequency only after solving the points ahead of it.
+    for (const double f : freqs_hz)
+        PGSI_REQUIRE(f > 0, "IterativeSolver: frequency must be positive");
     PGSI_REQUIRE(!port_nodes.empty(), "IterativeSolver: no port nodes given");
     for (const std::size_t node : port_nodes)
         PGSI_REQUIRE(node < bem_.node_count(),
                      "IterativeSolver: port node out of range");
+    if (freqs_hz.size() == 1) {
+        // No other frequency to reuse work from.
+        out[0] = port_impedance(freqs_hz[0], port_nodes);
+        return out;
+    }
+    ensure_setup();
+    // Sweep engine: frequencies run sequentially so each point reuses the
+    // previous points' Krylov work (warm starts, recycled subspace, cached
+    // rhs bases). The kernels inside each point still use the pool, and all
+    // cross-frequency decisions are serial, so results are bitwise
+    // independent of the thread count.
     const std::size_t sid = obs::streams_enabled()
                                 ? obs::stream_open("em.sweep.iterations")
                                 : obs::kStreamNone;
@@ -742,8 +689,6 @@ std::vector<MatrixC> IterativeSolver::sweep_impedance(
     }
     SweepState sweep;
     for (const std::size_t i : order) {
-        PGSI_REQUIRE(freqs_hz[i] > 0,
-                     "IterativeSolver: frequency must be positive");
         const auto t0 = std::chrono::steady_clock::now();
         const std::size_t iters_before = stats_.iterations;
         out[i] = solve_ports(freqs_hz[i], port_nodes, &sweep);

@@ -22,7 +22,7 @@
 //     tile's dense factorization.
 //
 // The port columns of one frequency solve as a single block GMRES against a
-// shared Arnoldi basis (a single column runs plain GMRES). A multi-point
+// shared Arnoldi basis (one port is a block of one column). A multi-point
 // sweep_impedance runs the sweep engine: frequencies solve sequentially in a
 // bisection order and each warm-starts from a recycled subspace of earlier
 // solutions (see sweep_impedance).
@@ -50,10 +50,12 @@ namespace pgsi {
 struct IterativeSolverStats {
     std::size_t frequencies = 0; ///< port_impedance evaluations
     /// Column solves actually attempted: the pending column count of each
-    /// block solve, or one for a single-column GMRES. A frequency that fell
-    /// back to the dense solver contributes only the attempts GMRES made.
+    /// block GMRES call. A frequency that fell back to the dense solver
+    /// contributes only the attempts GMRES made.
     std::size_t solves = 0;
-    std::size_t block_solves = 0; ///< multi-RHS block GMRES calls
+    /// Block GMRES calls: one per solve attempt at a frequency (the first,
+    /// and one more after a preconditioner escalation).
+    std::size_t block_solves = 0;
     std::size_t iterations = 0;  ///< total inner GMRES iterations
     std::size_t matvecs = 0;     ///< total operator applications
     std::size_t restarts = 0;    ///< total restart / seed cycles
@@ -166,11 +168,11 @@ private:
     mutable std::optional<InteractionOperator> hm_pop_, hm_lop_;
     mutable std::vector<double> zs_scale_;              ///< len/width per branch
     mutable std::vector<std::vector<std::size_t>> tiles_; ///< branch ids per tile
-    /// Frequency-independent preconditioner entries, cached only on the
-    /// compressed path where per-entry kernels are Galerkin quadratures:
-    /// per-tile L and S = PᵀPpotP blocks, plus their diagonals for the
-    /// Jacobi kind. A(ω) tiles reassemble as jωL + S/jω + Zs without
-    /// re-sampling a single kernel.
+    /// Frequency-independent preconditioner entries, cached at setup from
+    /// the active operators (Toeplitz, H-matrix or dense): per-tile L and
+    /// S = PᵀPpotP blocks, plus their diagonals for the Jacobi kind. A(ω)
+    /// tiles reassemble as jωL + S/jω + Zs without re-sampling a single
+    /// kernel entry.
     mutable std::vector<MatrixD> tile_l_, tile_s_;
     mutable std::vector<double> diag_l_, diag_s_;
     /// Current preconditioner rung. Escalation is sticky for the lifetime of

@@ -10,241 +10,6 @@
 
 namespace pgsi {
 
-namespace {
-
-// Conjugated inner product <a, b> = sum conj(a_i) b_i, serial for
-// thread-count-invariant results.
-Complex cdot(const VectorC& a, const VectorC& b) {
-    Complex s{};
-    for (std::size_t i = 0; i < a.size(); ++i) s += std::conj(a[i]) * b[i];
-    return s;
-}
-
-} // namespace
-
-GmresResult gmres(const LinearOpC& a, const VectorC& b, VectorC& x,
-                  const GmresOptions& opt, const LinearOpC& precond) {
-    PGSI_REQUIRE(static_cast<bool>(a), "gmres: null operator");
-    PGSI_REQUIRE(x.size() == b.size(), "gmres: x/b size mismatch");
-    PGSI_REQUIRE(opt.restart >= 1, "gmres: restart must be >= 1");
-    PGSI_REQUIRE(opt.tol > 0, "gmres: tol must be positive");
-    static obs::Counter& c_solves = obs::counter("gmres.solves");
-    static obs::Counter& c_iters = obs::counter("gmres.iterations");
-    static obs::Counter& c_matvecs = obs::counter("gmres.matvecs");
-    static obs::Counter& c_restarts = obs::counter("gmres.restarts");
-    static obs::Counter& c_est_retries =
-        obs::counter("gmres.estimate_retries");
-    static obs::Histogram& h_iters = obs::histogram("gmres.iterations_per_solve");
-    ++c_solves;
-
-    GmresResult res;
-    const std::size_t n = b.size();
-    if (robust::FaultInjector::should_fire("gmres.stall")) {
-        // Injected stall: report total non-convergence without touching x,
-        // exactly as a solve that made no progress would.
-        res.converged = false;
-        res.residual = 1.0;
-        return res;
-    }
-    const double bnorm = norm2(b);
-    if (bnorm == 0.0) {
-        x.assign(n, Complex{});
-        res.converged = true;
-        return res;
-    }
-    const std::size_t m = opt.restart;
-
-    VectorC w(n), z(n), r(n);
-    std::vector<VectorC> v;            // Arnoldi basis, up to m+1 vectors
-    std::vector<VectorC> h(m + 1, VectorC(m)); // Hessenberg, h[i][j]
-    VectorC g(m + 1);                  // rotated rhs of the least squares
-    VectorC cs(m);                     // Givens cosines (real, stored complex)
-    VectorC sn(m);                     // Givens sines
-
-    // x += M^{-1} (V y) for the current least-squares solution y of size k.
-    auto update_x = [&](std::size_t k) {
-        VectorC y(k);
-        for (std::size_t i = k; i-- > 0;) {
-            Complex acc = g[i];
-            for (std::size_t j = i + 1; j < k; ++j) acc -= h[i][j] * y[j];
-            y[i] = acc / h[i][i];
-        }
-        VectorC dx(n, Complex{});
-        for (std::size_t j = 0; j < k; ++j) {
-            const Complex yj = y[j];
-            const VectorC& vj = v[j];
-            for (std::size_t i = 0; i < n; ++i) dx[i] += yj * vj[i];
-        }
-        if (precond) {
-            precond(dx, z);
-            for (std::size_t i = 0; i < n; ++i) x[i] += z[i];
-        } else {
-            for (std::size_t i = 0; i < n; ++i) x[i] += dx[i];
-        }
-    };
-    // True relative residual at the current x.
-    auto true_residual = [&]() {
-        a(x, w);
-        ++res.matvecs;
-        for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - w[i];
-        return norm2(r) / bnorm;
-    };
-
-    // Convergence stream: the running Givens residual estimate per inner
-    // iteration plus restart / estimate-retry marks. `sid` is kStreamNone
-    // when recording is off, making each append site a single compare;
-    // the recorder only ever reads solver state, so results are bitwise
-    // identical either way.
-    const std::size_t sid = obs::streams_enabled()
-                                ? obs::stream_open("gmres.residual")
-                                : obs::kStreamNone;
-
-    // An identically-zero initial guess has r = b and relative residual
-    // exactly 1 — no operator application needed to know that. Warm-started
-    // sweeps make nonzero guesses common, so the matvec is only paid when x
-    // actually carries information.
-    bool x_is_zero = true;
-    for (const Complex& xi : x)
-        if (xi != Complex{}) {
-            x_is_zero = false;
-            break;
-        }
-    if (x_is_zero) {
-        r = b;
-        res.residual = 1.0;
-    } else {
-        res.residual = true_residual();
-    }
-    if (sid != obs::kStreamNone) obs::stream_append(sid, 0.0, res.residual);
-    while (res.residual > opt.tol && res.iterations < opt.max_iterations) {
-        // r holds b - A x from the residual evaluation above.
-        const double beta = norm2(r);
-        if (beta == 0.0) break;
-        v.assign(1, r);
-        for (std::size_t i = 0; i < n; ++i) v[0][i] /= beta;
-        g.assign(m + 1, Complex{});
-        g[0] = beta;
-
-        // Target for the running Givens estimate. Starts at the requested
-        // tolerance; when the estimate claims convergence but the recomputed
-        // true residual disagrees (loss of orthogonality on ill-conditioned
-        // operators lets the estimate drift below what the arithmetic
-        // achieved), the target is tightened by the observed gap and the
-        // cycle keeps iterating instead of giving up.
-        double est_tol = opt.tol;
-        std::size_t k = 0;       // columns accumulated this cycle
-        bool breakdown = false;  // column vanished (denom == 0)
-        bool committed = false;  // x and res.residual already updated
-        while (k < m && res.iterations < opt.max_iterations) {
-            const std::size_t j = k;
-            if (precond) {
-                precond(v[j], z);
-                a(z, w);
-            } else {
-                a(v[j], w);
-            }
-            ++res.matvecs;
-            ++res.iterations;
-            // Modified Gram-Schmidt.
-            for (std::size_t i = 0; i <= j; ++i) {
-                const Complex hij = cdot(v[i], w);
-                h[i][j] = hij;
-                const VectorC& vi = v[i];
-                for (std::size_t t = 0; t < n; ++t) w[t] -= hij * vi[t];
-            }
-            const double hnext = norm2(w);
-            // Apply the accumulated Givens rotations to the new column.
-            for (std::size_t i = 0; i < j; ++i) {
-                const Complex t0 = h[i][j];
-                const Complex t1 = h[i + 1][j];
-                h[i][j] = cs[i] * t0 + sn[i] * t1;
-                h[i + 1][j] = -std::conj(sn[i]) * t0 + cs[i] * t1;
-            }
-            // New rotation eliminating h[j+1][j] (= hnext, real >= 0).
-            {
-                const Complex hjj = h[j][j];
-                const double denom =
-                    std::sqrt(std::norm(hjj) + hnext * hnext);
-                if (denom == 0.0) {
-                    breakdown = true; // entire column vanished
-                    break;
-                }
-                if (std::abs(hjj) == 0.0) {
-                    cs[j] = 0.0;
-                    sn[j] = 1.0;
-                } else {
-                    cs[j] = std::abs(hjj) / denom;
-                    sn[j] = (hjj / std::abs(hjj)) * (hnext / denom);
-                }
-                h[j][j] = cs[j] * hjj + sn[j] * hnext;
-                g[j + 1] = -std::conj(sn[j]) * g[j];
-                g[j] = cs[j] * g[j];
-            }
-            k = j + 1;
-            if (sid != obs::kStreamNone)
-                obs::stream_append(sid, static_cast<double>(res.iterations),
-                                   std::abs(g[k]) / bnorm);
-            if (hnext > 0.0 && std::abs(g[k]) / bnorm > est_tol) {
-                v.push_back(w);
-                VectorC& vn = v.back();
-                for (std::size_t t = 0; t < n; ++t) vn[t] /= hnext;
-                continue;
-            }
-            if (hnext == 0.0) break; // happy breakdown: commit below
-            // The Givens estimate claims convergence. Verify against the
-            // true residual before committing; push the next Arnoldi vector
-            // first, because true_residual() reuses w as scratch and the
-            // vector is needed anyway if the cycle continues.
-            {
-                v.push_back(w);
-                VectorC& vn = v.back();
-                for (std::size_t t = 0; t < n; ++t) vn[t] /= hnext;
-            }
-            const VectorC x_save = x;
-            update_x(k);
-            const double tr = true_residual();
-            if (tr <= opt.tol || k >= m ||
-                res.iterations >= opt.max_iterations) {
-                // Truly converged, or no room left this cycle / in the
-                // budget: keep the update and let the outer loop decide.
-                res.residual = tr;
-                committed = true;
-                break;
-            }
-            // The estimate drifted below the achieved residual: discard the
-            // trial update, tighten the estimate target by the observed gap,
-            // and keep building this Krylov cycle.
-            ++res.estimate_retries;
-            if (sid != obs::kStreamNone)
-                obs::stream_mark(sid, static_cast<double>(res.iterations),
-                                 "estimate_retry");
-            x = x_save;
-            est_tol = std::min(est_tol,
-                               opt.tol * ((std::abs(g[k]) / bnorm) / tr));
-        }
-        if (!committed) {
-            if (k > 0) update_x(k);
-            res.residual = true_residual();
-        }
-        ++res.restarts;
-        if (sid != obs::kStreamNone && res.residual > opt.tol &&
-            res.iterations < opt.max_iterations && !breakdown)
-            obs::stream_mark(sid, static_cast<double>(res.iterations),
-                             "restart");
-        if (breakdown) break;
-    }
-    res.converged = res.residual <= opt.tol;
-    if (sid != obs::kStreamNone)
-        obs::stream_append(sid, static_cast<double>(res.iterations),
-                           res.residual);
-    c_iters.add(res.iterations);
-    c_matvecs.add(res.matvecs);
-    c_restarts.add(res.restarts);
-    c_est_retries.add(res.estimate_retries);
-    h_iters.record(static_cast<double>(res.iterations));
-    return res;
-}
-
 BlockGmresResult block_gmres(const LinearOpC& a, const std::vector<VectorC>& b,
                              std::vector<VectorC>& x, const GmresOptions& opt,
                              const LinearOpC& precond) {
@@ -273,8 +38,8 @@ BlockGmresResult block_gmres(const LinearOpC& a, const std::vector<VectorC>& b,
     BlockGmresResult res;
     res.residuals.assign(p, 1.0);
     if (robust::FaultInjector::should_fire("gmres.stall")) {
-        // Injected stall: total non-convergence, x untouched — same contract
-        // as the single-column path.
+        // Injected stall: report total non-convergence without touching x,
+        // exactly as a solve that made no progress would.
         res.worst_residual = 1.0;
         return res;
     }
@@ -347,8 +112,11 @@ BlockGmresResult block_gmres(const LinearOpC& a, const std::vector<VectorC>& b,
         }
     };
 
+    // `sid` is kStreamNone when recording is off, making each append site a
+    // single compare; the recorder only reads solver state, so results are
+    // bitwise identical either way.
     const std::size_t sid = obs::streams_enabled()
-                                ? obs::stream_open("gmres.block.residual")
+                                ? obs::stream_open("gmres.residual")
                                 : obs::kStreamNone;
 
     auto any_active = [&]() {
@@ -391,7 +159,7 @@ BlockGmresResult block_gmres(const LinearOpC& a, const std::vector<VectorC>& b,
             if (done[i] || i == seed) continue;
             riding[i] = true;
             chat[i].assign(m + 1, Complex{});
-            chat[i][0] = cdot(v[0], r[i]);
+            chat[i][0] = dot(v[0], r[i]);
             sumsq[i] = std::norm(chat[i][0]);
         }
         auto column_estimate = [&](std::size_t i, std::size_t k) {
@@ -414,7 +182,7 @@ BlockGmresResult block_gmres(const LinearOpC& a, const std::vector<VectorC>& b,
             ++res.iterations;
             double hcol2 = 0.0; // |A M^{-1} v_j|^2, for the exhaustion guard
             for (std::size_t i = 0; i <= j; ++i) {
-                const Complex hij = cdot(v[i], w);
+                const Complex hij = dot(v[i], w);
                 h[i][j] = hij;
                 hcol2 += std::norm(hij);
                 const VectorC& vi = v[i];
@@ -460,7 +228,7 @@ BlockGmresResult block_gmres(const LinearOpC& a, const std::vector<VectorC>& b,
                 // triangularized the seed's Hessenberg column.
                 for (std::size_t i = 0; i < p; ++i) {
                     if (!riding[i]) continue;
-                    const Complex raw = cdot(v.back(), r[i]);
+                    const Complex raw = dot(v.back(), r[i]);
                     sumsq[i] += std::norm(raw);
                     const Complex t0 = chat[i][j];
                     chat[i][j] = cs[j] * t0 + sn[j] * raw;

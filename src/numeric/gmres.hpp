@@ -1,9 +1,11 @@
-// Restarted GMRES(m) for dense or matrix-free complex linear systems.
+// Restarted block GMRES(m) for dense or matrix-free complex linear systems.
 //
 // The matrix-free BEM solver path needs a Krylov method that only touches
 // the operator through y = A x applications: the FFT-accelerated
-// block-Toeplitz interaction operators never materialize A. This is the
-// standard right-preconditioned restarted GMRES of Saad & Schultz:
+// block-Toeplitz interaction operators never materialize A. block_gmres is
+// the standard right-preconditioned restarted GMRES of Saad & Schultz, run
+// over one or more right-hand sides against a shared Arnoldi basis (a single
+// column is simply a block of one):
 //
 //   * Arnoldi with modified Gram-Schmidt (serial inner products, so results
 //     are bitwise independent of thread count);
@@ -11,8 +13,9 @@
 //     Hessenberg matrix, giving a cheap running residual estimate;
 //   * right preconditioning (solve A M^{-1} u = b, x = M^{-1} u) keeps the
 //     monitored residual equal to the true residual of the original system;
-//   * on convergence the true residual is recomputed from x — the Givens
-//     estimate can drift below what the arithmetic actually achieved.
+//   * at the end of every cycle each column's true residual is recomputed
+//     from x — the Givens estimate can drift below what the arithmetic
+//     actually achieved.
 #pragma once
 
 #include <functional>
@@ -29,31 +32,6 @@ struct GmresOptions {
     std::size_t max_iterations = 4000; ///< total inner-iteration budget
     double tol = 1e-11;                ///< target relative residual |b-Ax|/|b|
 };
-
-struct GmresResult {
-    bool converged = false;
-    std::size_t iterations = 0; ///< inner (Arnoldi) iterations performed
-    std::size_t restarts = 0;   ///< restart cycles completed
-    std::size_t matvecs = 0;    ///< operator applications
-    /// Times the Givens estimate claimed convergence but the recomputed true
-    /// residual disagreed; the solve keeps iterating (with a tightened
-    /// estimate target) instead of giving up, within the iteration budget.
-    std::size_t estimate_retries = 0;
-    double residual = 0;        ///< final true relative residual
-};
-
-/// Solve A x = b. `x` carries the initial guess on entry (pass a zero vector
-/// of size b.size() for a cold start) and the solution on return. An
-/// identically-zero initial guess skips the initial operator application:
-/// there r = b and the relative residual is exactly 1, so a cold start costs
-/// no matvec until the first Arnoldi step.
-/// `precond`, when non-null, applies z = M^{-1} v (right preconditioning);
-/// it must be a fixed linear operator for the duration of the solve.
-/// Telemetry lands in the returned struct and in the pgsi::obs counters
-/// gmres.solves / gmres.iterations / gmres.matvecs / gmres.restarts.
-GmresResult gmres(const LinearOpC& a, const VectorC& b, VectorC& x,
-                  const GmresOptions& opt = {},
-                  const LinearOpC& precond = nullptr);
 
 /// Telemetry of one block (multi-RHS) GMRES solve.
 struct BlockGmresResult {
@@ -83,12 +61,18 @@ struct BlockGmresResult {
 /// column-by-column solves; worst case (orthogonal residuals) degrades to
 /// roughly the per-column cost plus the cheap projection dots.
 ///
-/// `x` carries the per-column initial guesses (identically-zero guesses skip
-/// the initial residual matvec, as in gmres()) and the solutions on return.
+/// `x` carries the per-column initial guesses and the solutions on return.
+/// An identically-zero guess skips that column's initial residual matvec:
+/// there r = b and the relative residual is exactly 1. `precond`, when
+/// non-null, applies z = M^{-1} v (right preconditioning); it must be a fixed
+/// linear operator for the duration of the solve.
 /// All inner products are serial, so results are bitwise independent of the
 /// thread count. Counters: gmres.block_solves (one per call), gmres.solves
 /// (one per right-hand side column) plus the shared gmres.iterations /
-/// gmres.matvecs / gmres.restarts.
+/// gmres.matvecs / gmres.restarts. With streams on, the gmres.residual
+/// stream records the seed column's running estimate per Arnoldi step (its
+/// first point is at iteration 1), cycle / deflate / estimate_retry marks,
+/// and finally the worst true residual.
 BlockGmresResult block_gmres(const LinearOpC& a, const std::vector<VectorC>& b,
                              std::vector<VectorC>& x,
                              const GmresOptions& opt = {},

@@ -35,6 +35,13 @@ double dot(const VectorD& a, const VectorD& b) {
     return s;
 }
 
+Complex dot(const VectorC& a, const VectorC& b) {
+    PGSI_REQUIRE(a.size() == b.size(), "dot: size mismatch");
+    Complex s{};
+    for (std::size_t i = 0; i < a.size(); ++i) s += std::conj(a[i]) * b[i];
+    return s;
+}
+
 void axpy(double s, const VectorD& x, VectorD& y) {
     PGSI_REQUIRE(x.size() == y.size(), "axpy: size mismatch");
     for (std::size_t i = 0; i < x.size(); ++i) y[i] += s * x[i];

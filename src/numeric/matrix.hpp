@@ -186,6 +186,9 @@ double max_abs(const VectorC& v);
 
 /// Dot product (no conjugation).
 double dot(const VectorD& a, const VectorD& b);
+/// Conjugated inner product <a, b> = sum conj(a_i) b_i, accumulated serially
+/// so results are bitwise independent of the thread count.
+Complex dot(const VectorC& a, const VectorC& b);
 
 /// y += s * x
 void axpy(double s, const VectorD& x, VectorD& y);

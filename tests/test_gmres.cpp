@@ -1,4 +1,5 @@
-// Restarted GMRES against dense LU on complex systems.
+// Restarted block GMRES against dense LU on complex systems, with one and
+// several right-hand side columns.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -53,6 +54,17 @@ double max_abs_diff(const VectorC& a, const std::vector<Complex>& b) {
     return m;
 }
 
+// A single right-hand side solved as a block of one column.
+BlockGmresResult solve_one(const MatrixC& a, const VectorC& b, VectorC& x,
+                           const GmresOptions& opt = {},
+                           const LinearOpC& precond = nullptr) {
+    std::vector<VectorC> xs{x};
+    const BlockGmresResult res =
+        block_gmres(matrix_op(a), {b}, xs, opt, precond);
+    x = std::move(xs[0]);
+    return res;
+}
+
 } // namespace
 
 TEST(Gmres, MatchesLuOnWellConditionedSystems) {
@@ -64,9 +76,9 @@ TEST(Gmres, MatchesLuOnWellConditionedSystems) {
         VectorC x(n, Complex{});
         GmresOptions opt;
         opt.tol = 1e-12;
-        const GmresResult res = gmres(matrix_op(a), b, x, opt);
+        const BlockGmresResult res = solve_one(a, b, x, opt);
         EXPECT_TRUE(res.converged);
-        EXPECT_LE(res.residual, opt.tol);
+        EXPECT_LE(res.worst_residual, opt.tol);
         EXPECT_LT(max_abs_diff(x, ref), 1e-10);
     }
 }
@@ -81,9 +93,9 @@ TEST(Gmres, RestartCyclesStillConverge) {
     GmresOptions opt;
     opt.restart = 5; // force many cycles
     opt.tol = 1e-11;
-    const GmresResult res = gmres(matrix_op(a), b, x, opt);
+    const BlockGmresResult res = solve_one(a, b, x, opt);
     EXPECT_TRUE(res.converged);
-    EXPECT_GE(res.restarts, 2u);
+    EXPECT_GE(res.cycles, 2u);
     EXPECT_LT(max_abs_diff(x, ref), 1e-9);
 }
 
@@ -109,8 +121,8 @@ TEST(Gmres, DiagonalPreconditionerReducesIterations) {
     GmresOptions opt;
     opt.tol = 1e-11;
     VectorC xp(n, Complex{}), xu(n, Complex{});
-    const GmresResult plain = gmres(matrix_op(a), b, xu, opt);
-    const GmresResult prec = gmres(matrix_op(a), b, xp, opt, jacobi);
+    const BlockGmresResult plain = solve_one(a, b, xu, opt);
+    const BlockGmresResult prec = solve_one(a, b, xp, opt, jacobi);
     EXPECT_TRUE(prec.converged);
     EXPECT_LT(max_abs_diff(xp, ref), 1e-9);
     if (plain.converged) {
@@ -125,7 +137,7 @@ TEST(Gmres, WarmStartFromExactSolutionTakesNoIterations) {
     const std::vector<Complex> ref = Lu<Complex>(a).solve(b);
 
     VectorC x(ref.begin(), ref.end());
-    const GmresResult res = gmres(matrix_op(a), b, x, {});
+    const BlockGmresResult res = solve_one(a, b, x);
     EXPECT_TRUE(res.converged);
     EXPECT_EQ(res.iterations, 0u);
     // One operator application establishes the warm guess is already exact.
@@ -136,7 +148,7 @@ TEST(Gmres, ZeroRhsReturnsZero) {
     const MatrixC a = random_system(6, 2u);
     const VectorC b(6, Complex{});
     VectorC x = random_vec(6, 1u); // nonzero initial guess must be discarded
-    const GmresResult res = gmres(matrix_op(a), b, x, {});
+    const BlockGmresResult res = solve_one(a, b, x);
     EXPECT_TRUE(res.converged);
     EXPECT_EQ(res.matvecs, 0u);
     for (const Complex& v : x) EXPECT_EQ(v, Complex{});
@@ -146,7 +158,7 @@ TEST(Gmres, ZeroInitialGuessSkipsInitialResidualMatvec) {
     // With x0 == 0 the initial residual is b and the relative residual is
     // exactly 1 — no operator application is needed to start. Every matvec
     // is then accounted for by Arnoldi steps plus one true-residual
-    // recomputation per cycle (and per estimate retry).
+    // recomputation per cycle (an estimate retry ends its cycle there).
     const std::size_t n = 24;
     const MatrixC a = random_system(n, 41u);
     const VectorC b = random_vec(n, 42u);
@@ -154,18 +166,16 @@ TEST(Gmres, ZeroInitialGuessSkipsInitialResidualMatvec) {
     VectorC x(n, Complex{});
     GmresOptions opt;
     opt.tol = 1e-12;
-    const GmresResult cold = gmres(matrix_op(a), b, x, opt);
+    const BlockGmresResult cold = solve_one(a, b, x, opt);
     EXPECT_TRUE(cold.converged);
-    EXPECT_EQ(cold.matvecs,
-              cold.iterations + cold.restarts + cold.estimate_retries);
+    EXPECT_EQ(cold.matvecs, cold.iterations + cold.cycles);
 
     // A nonzero (inexact) warm start pays exactly one extra matvec for the
     // initial true residual.
     VectorC xw(n, Complex(0.1, 0.0));
-    const GmresResult warm = gmres(matrix_op(a), b, xw, opt);
+    const BlockGmresResult warm = solve_one(a, b, xw, opt);
     EXPECT_TRUE(warm.converged);
-    EXPECT_EQ(warm.matvecs,
-              warm.iterations + warm.restarts + warm.estimate_retries + 1);
+    EXPECT_EQ(warm.matvecs, warm.iterations + warm.cycles + 1);
 }
 
 TEST(Gmres, IterationBudgetExhaustionReportsNotConverged) {
@@ -177,20 +187,20 @@ TEST(Gmres, IterationBudgetExhaustionReportsNotConverged) {
     opt.restart = 2;
     opt.max_iterations = 2;
     opt.tol = 1e-14;
-    const GmresResult res = gmres(matrix_op(a), b, x, opt);
+    const BlockGmresResult res = solve_one(a, b, x, opt);
     EXPECT_FALSE(res.converged);
-    EXPECT_GT(res.residual, opt.tol);
+    EXPECT_GT(res.worst_residual, opt.tol);
 }
 
 TEST(Gmres, RejectsInvalidArguments) {
     const MatrixC a = random_system(4, 1u);
     const VectorC b = random_vec(4, 2u);
     VectorC x(3, Complex{});
-    EXPECT_THROW(gmres(matrix_op(a), b, x, {}), InvalidArgument);
+    EXPECT_THROW(solve_one(a, b, x), InvalidArgument);
     x.assign(4, Complex{});
     GmresOptions opt;
     opt.restart = 0;
-    EXPECT_THROW(gmres(matrix_op(a), b, x, opt), InvalidArgument);
+    EXPECT_THROW(solve_one(a, b, x, opt), InvalidArgument);
 }
 
 TEST(Gmres, IllConditionedOperatorTriggersEstimateRetryAndStillConverges) {
@@ -218,11 +228,11 @@ TEST(Gmres, IllConditionedOperatorTriggersEstimateRetryAndStillConverges) {
     opt.max_iterations = 400;
     opt.tol = 1e-9;
     VectorC x(n, Complex{});
-    const GmresResult res = gmres(matrix_op(a), b, x, opt);
+    const BlockGmresResult res = solve_one(a, b, x, opt);
 
     EXPECT_TRUE(res.converged);
     EXPECT_GE(res.estimate_retries, 1u);
-    EXPECT_LE(res.residual, opt.tol);
+    EXPECT_LE(res.worst_residual, opt.tol);
 
     // Independently recompute |b - A x| / |b|: the reported residual must be
     // the true one.
@@ -272,7 +282,7 @@ TEST(BlockGmres, MatchesColumnByColumnSolvesAndLu) {
         EXPECT_LT(max_abs_diff(x[i], lu.solve(b[i])), 1e-10);
 
         VectorC xc(n, Complex{});
-        const GmresResult col = gmres(matrix_op(a), b[i], xc, opt);
+        const BlockGmresResult col = solve_one(a, b[i], xc, opt);
         EXPECT_TRUE(col.converged);
         EXPECT_LT(max_abs_diff(xc, lu.solve(b[i])), 1e-10);
         column_matvecs += col.matvecs;
@@ -351,9 +361,9 @@ TEST(BlockGmres, RejectsInvalidArguments) {
 }
 
 TEST(GmresCounters, IterationsImplySolves) {
-    // The obs counters must agree with each other after either entry point:
-    // Arnoldi iterations without a counted solve would leave a report with
-    // "0 solves" beside thousands of iterations.
+    // The obs counters must agree with each other for one and several
+    // columns: Arnoldi iterations without a counted solve would leave a
+    // report with "0 solves" beside thousands of iterations.
     obs::Counter& solves = obs::counter("gmres.solves");
     obs::Counter& iters = obs::counter("gmres.iterations");
     const std::size_t n = 30, p = 3;
@@ -361,7 +371,7 @@ TEST(GmresCounters, IterationsImplySolves) {
 
     const std::uint64_t s0 = solves.value(), i0 = iters.value();
     VectorC x(n, Complex{});
-    gmres(matrix_op(a), random_vec(n, 102u), x, {});
+    solve_one(a, random_vec(n, 102u), x);
     EXPECT_GT(iters.value(), i0);
     EXPECT_EQ(solves.value(), s0 + 1);
 

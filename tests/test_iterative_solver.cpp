@@ -77,6 +77,52 @@ SolverOptions iterative_options(
     return opt;
 }
 
+// Frequency grid of the recorded-reference and concurrency cases.
+const VectorD kRefFreqs{1e8, 2e8, 4e8, 7e8, 1e9};
+
+// Iterative options on the Toeplitz plane (holey_mesh) or, with `hmatrix`,
+// ACA-compressed operators forced onto the non-uniform two-shape mesh (a
+// leaf size small enough that the tree has well-separated blocks).
+SolverOptions operator_path_options(bool hmatrix) {
+    SolverOptions opt = iterative_options();
+    if (hmatrix) {
+        opt.hmatrix.use = HmatrixUse::Force;
+        opt.hmatrix.leaf_size = 16;
+    }
+    return opt;
+}
+
+PlaneBem operator_path_bem(bool hmatrix) {
+    return make_bem(hmatrix ? nonuniform_mesh() : holey_mesh());
+}
+
+std::vector<std::size_t> operator_path_ports(const PlaneBem& bem,
+                                             std::size_t count) {
+    std::vector<std::size_t> ports{bem.mesh().nearest_node({0.002, 0.002}, 0)};
+    if (count > 1) ports.push_back(bem.mesh().nearest_node({0.020, 0.006}, 0));
+    return ports;
+}
+
+// Recorded-reference cases: 0/1 are 1- and 2-port sweeps on the Toeplitz
+// plane, 2/3 the same on the forced H-matrix plane, 4 one Diagonal-
+// preconditioned port_impedance on the Toeplitz plane.
+constexpr std::size_t kRefCases = 5;
+
+std::vector<MatrixC> reference_case(std::size_t c) {
+    const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
+    const bool hmatrix = c == 2 || c == 3;
+    const PlaneBem bem = operator_path_bem(hmatrix);
+    if (c == 4) {
+        SolverOptions opt = iterative_options(PreconditionerKind::Diagonal);
+        opt.gmres.max_iterations = 20000;
+        return {IterativeSolver(bem, zs, opt)
+                    .port_impedance(1e9, operator_path_ports(bem, 1))};
+    }
+    const IterativeSolver solver(bem, zs, operator_path_options(hmatrix));
+    return solver.sweep_impedance(kRefFreqs,
+                                  operator_path_ports(bem, c % 2 == 0 ? 1 : 2));
+}
+
 } // namespace
 
 TEST(IterativeSolver, MatchesDirectOnHoleyMesh) {
@@ -313,7 +359,7 @@ TEST(IterativeSolver, DenseFallbackAttributesOnlyAttemptedSolves) {
 
         const IterativeSolverStats& st = iterative.stats();
         EXPECT_EQ(st.solves, 1u);
-        EXPECT_EQ(st.block_solves, 0u);
+        EXPECT_EQ(st.block_solves, 1u); // one port is a block of one column
         EXPECT_EQ(st.dense_fallbacks, 1u);
         EXPECT_EQ(st.precond_escalations, 0u);
         EXPECT_LT(max_rel_diff(z, direct.port_impedance(1e9, one)), 1e-8);
@@ -356,4 +402,112 @@ TEST(IterativeSolver, RejectsInvalidPorts) {
     EXPECT_THROW(solver.port_impedance(1e9, {bem.node_count()}),
                  InvalidArgument);
     EXPECT_THROW(solver.port_impedance(-1.0, {0}), InvalidArgument);
+}
+
+// Z values of the reference cases, recorded with %.17g: per case, (re, im)
+// pairs over frequency, row and column. Any change to the Krylov solver or
+// the preconditioner assembly that is meant to keep the arithmetic must
+// reproduce them to round-off.
+const std::vector<std::vector<double>> kRefZ{
+    {0.0012223392559624709, -48.519046018150583,
+     0.0012251124092848504, -23.847556129038139,
+     0.0012363731181073349, -11.09443544967916,
+     0.0012688270893821687, -5.0100549699816792,
+     0.0013237413007176615, -2.0115691998195389},
+    {0.0012223392559624709, -48.519046018150583,
+     -0.00022640267018044679, -48.853798299698113,
+     -0.00022640235952378052, -48.853798300745289,
+     0.0010445311355238656, -48.566919462710182,
+     0.0012251132226302466, -23.847556129222056,
+     -0.00022770259649684794, -24.518118864938078,
+     -0.00022770240229463988, -24.518118865610148,
+     0.0010463883259548606, -23.943520223607255,
+     0.0012363733098250771, -11.094435448744875,
+     -0.00023300647103428928, -12.444124823153226,
+     -0.00023300681834479407, -12.444124822314251,
+     0.0010539410047802663, -11.288115916713739,
+     0.0012688269178126998, -5.0100549706510069,
+     -0.00024853248163242316, -7.4146834204218059,
+     -0.00024853265645544831, -7.4146834205482461,
+     0.0010758092079196408, -5.3576409224948334,
+     0.0013237413006878876, -2.0115691998192169,
+     -0.00027557724130254998, -5.5474856760917639,
+     -0.00027557732524495249, -5.5474856761673772,
+     0.0011131465645785768, -2.5281333601734977},
+    {0.00072403171968702599, -176.20236688652065,
+     0.00072444861631805555, -87.882827117349578,
+     0.00072612129161387772, -43.50392676180865,
+     0.00073077354559838634, -24.168227885217316,
+     0.00073811785744422721, -16.162497186114685},
+    {0.00072403171968702599, -176.20236688652065,
+     -0.0002151229467515969, -176.4045318987821,
+     -0.00021512306913870573, -176.40453189785975,
+     0.00082023434615017155, -176.18363923575356,
+     0.00072444853945235566, -87.882827117348171,
+     -0.00021542661590997472, -88.287338419083127,
+     -0.00021542634169516357, -88.287338419082232,
+     0.00082067101962107075, -87.84536659712613,
+     0.00072612130621494114, -43.503926761808728,
+     -0.00021664547092838834, -44.314404375360176,
+     -0.0002166455170151761, -44.31440437563672,
+     0.00082241680316711406, -43.428963538673678,
+     0.00073077353912576865, -24.168227885257245,
+     -0.00022004617731174919, -25.593625577708945,
+     -0.00022004623684140958, -25.593625577615221,
+     0.0008272780409647472, -24.036836101931588,
+     0.00073811785763265288, -16.16249718611688,
+     -0.0002254447096989414, -18.214620324532333,
+     -0.00022544471001991005, -18.214620324500437,
+     0.00083495934823819297, -15.974326482535783},
+    {0.001323741254615789, -2.0115691996497147}};
+
+TEST(IterativeSolver, ReproducesRecordedZReferences) {
+    ASSERT_EQ(kRefZ.size(), kRefCases);
+    for (std::size_t c = 0; c < kRefCases; ++c) {
+        const std::vector<MatrixC> z = reference_case(c);
+        std::size_t at = 0;
+        for (const MatrixC& m : z)
+            for (std::size_t r = 0; r < m.rows(); ++r)
+                for (std::size_t k = 0; k < m.cols(); ++k, at += 2) {
+                    ASSERT_LT(at + 1, kRefZ[c].size()) << "case " << c;
+                    const Complex ref(kRefZ[c][at], kRefZ[c][at + 1]);
+                    EXPECT_LE(std::abs(m(r, k) - ref), 1e-14 * std::abs(ref))
+                        << "case " << c << " entry " << at / 2;
+                }
+        EXPECT_EQ(at, kRefZ[c].size()) << "case " << c;
+    }
+}
+
+// port_impedance is const and public, so callers (bench_scaling among them)
+// solve several frequencies on one solver concurrently; the first calls race
+// into the once-only setup. Every result must equal a serial call on a fresh
+// solver bit for bit, on both operator paths and for one and two ports.
+TEST(IterativeSolver, ConcurrentPortImpedanceMatchesSerialBitForBit) {
+    pgsi::test::ScopedThreadCount pin(4);
+    const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
+    for (const bool hmatrix : {false, true}) {
+        const PlaneBem bem = operator_path_bem(hmatrix);
+        const SolverOptions opt = operator_path_options(hmatrix);
+        for (const std::size_t np : {1u, 2u}) {
+            const std::vector<std::size_t> ports = operator_path_ports(bem, np);
+            const IterativeSolver shared(bem, zs, opt);
+            std::vector<MatrixC> got(kRefFreqs.size());
+            par::parallel_for(kRefFreqs.size(), [&](std::size_t i) {
+                got[i] = shared.port_impedance(kRefFreqs[i], ports);
+            });
+            EXPECT_EQ(shared.stats().frequencies, kRefFreqs.size());
+            EXPECT_EQ(shared.stats().hmatrix, hmatrix);
+
+            const IterativeSolver fresh(bem, zs, opt);
+            for (std::size_t i = 0; i < kRefFreqs.size(); ++i) {
+                const MatrixC want = fresh.port_impedance(kRefFreqs[i], ports);
+                ASSERT_EQ(got[i].rows(), np);
+                for (std::size_t r = 0; r < np; ++r)
+                    for (std::size_t k = 0; k < np; ++k)
+                        EXPECT_EQ(got[i](r, k), want(r, k))
+                            << (hmatrix ? "H-matrix" : "Toeplitz") << ", "
+                            << np << " ports, f = " << kRefFreqs[i];
+            }
+        }
+    }
 }

@@ -40,7 +40,7 @@ protected:
 
 // Diagonally dominant dense test system; GMRES takes a handful of
 // iterations, enough to populate a residual stream.
-GmresResult solve_test_system(VectorC& x) {
+BlockGmresResult solve_test_system(VectorC& x) {
     const std::size_t n = 24;
     MatrixC a(n, n);
     for (std::size_t i = 0; i < n; ++i)
@@ -57,8 +57,10 @@ GmresResult solve_test_system(VectorC& x) {
             y[i] = s;
         }
     };
-    x.assign(n, Complex(0, 0));
-    return gmres(op, b, x);
+    std::vector<VectorC> xs(1, VectorC(n, Complex(0, 0)));
+    const BlockGmresResult r = block_gmres(op, {b}, xs);
+    x = std::move(xs[0]);
+    return r;
 }
 
 const obs::StreamSeries* find_series(const std::vector<obs::StreamSeries>& all,
@@ -72,17 +74,17 @@ const obs::StreamSeries* find_series(const std::vector<obs::StreamSeries>& all,
 
 TEST_F(ReportTest, GmresRecordsResidualStream) {
     VectorC x;
-    const GmresResult r = solve_test_system(x);
+    const BlockGmresResult r = solve_test_system(x);
     ASSERT_TRUE(r.converged);
     const auto streams = obs::stream_snapshot();
     const obs::StreamSeries* s = find_series(streams, "gmres.residual");
     ASSERT_NE(s, nullptr);
-    // Initial point at x=0 plus one per iteration plus the final true
-    // residual; monotone x, and the last y equals the reported residual.
-    ASSERT_GE(s->x.size(), r.iterations + 1);
+    // One point per iteration, the first at iteration 1, plus the final
+    // true residual; monotone x, and the last y equals the reported residual.
+    ASSERT_EQ(s->x.size(), r.iterations + 1);
     EXPECT_EQ(s->x.size(), s->y.size());
-    EXPECT_DOUBLE_EQ(s->x.front(), 0.0);
-    EXPECT_DOUBLE_EQ(s->y.back(), r.residual);
+    EXPECT_DOUBLE_EQ(s->x.front(), 1.0);
+    EXPECT_DOUBLE_EQ(s->y.back(), r.worst_residual);
     for (std::size_t i = 1; i < s->x.size(); ++i)
         EXPECT_GE(s->x[i], s->x[i - 1]);
     EXPECT_EQ(s->dropped, 0u);
@@ -91,7 +93,7 @@ TEST_F(ReportTest, GmresRecordsResidualStream) {
 TEST_F(ReportTest, StreamsOffIsEmptyAndBitwiseIdentical) {
     // Reference run with streams ON.
     VectorC x_on;
-    const GmresResult r_on = solve_test_system(x_on);
+    const BlockGmresResult r_on = solve_test_system(x_on);
     ASSERT_NE(find_series(obs::stream_snapshot(), "gmres.residual"), nullptr);
 
     // Same solve with recording OFF: nothing recorded, and the solution and
@@ -99,7 +101,7 @@ TEST_F(ReportTest, StreamsOffIsEmptyAndBitwiseIdentical) {
     obs::set_streams_enabled(false);
     obs::reset_streams();
     VectorC x_off;
-    const GmresResult r_off = solve_test_system(x_off);
+    const BlockGmresResult r_off = solve_test_system(x_off);
     EXPECT_TRUE(obs::stream_snapshot().empty());
     EXPECT_EQ(obs::stream_open("ignored"), obs::kStreamNone);
     ASSERT_EQ(x_on.size(), x_off.size());
@@ -109,7 +111,7 @@ TEST_F(ReportTest, StreamsOffIsEmptyAndBitwiseIdentical) {
     }
     EXPECT_EQ(r_on.iterations, r_off.iterations);
     EXPECT_EQ(r_on.matvecs, r_off.matvecs);
-    EXPECT_EQ(r_on.residual, r_off.residual);
+    EXPECT_EQ(r_on.worst_residual, r_off.worst_residual);
 }
 
 TEST_F(ReportTest, StreamCapsAndStaleIdsAreSafe) {

@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "common/error.hpp"
 #include "em/iterative_solver.hpp"
 #include "tests/test_util.hpp"
 
@@ -137,4 +138,17 @@ TEST(SweepEngine, WarmStartedSweepBitwiseInvariantAcrossThreadCounts) {
                     EXPECT_EQ(got[i](r, c), base[i](r, c))
                         << "threads " << threads << " f " << freqs[i];
     }
+}
+
+TEST(SweepEngine, RejectsNonPositiveFrequencyBeforeAnySolve) {
+    const PlaneBem bem = make_bem(plain_mesh());
+    const IterativeSolver solver(
+        bem, SurfaceImpedance::from_sheet_resistance(1e-3), iterative_options());
+    const std::vector<std::size_t> ports{
+        bem.mesh().nearest_node({0.002, 0.002}, 0)};
+    // The bisection order visits indices 0, 3 and 1 before the bad point 2;
+    // the whole grid is checked before any of them is solved.
+    EXPECT_THROW(solver.sweep_impedance({1e8, 2e8, 0.0, 4e8}, ports),
+                 InvalidArgument);
+    EXPECT_EQ(solver.stats().frequencies, 0u);
 }
