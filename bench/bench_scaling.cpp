@@ -20,6 +20,7 @@
 #include "extract/equivalent_circuit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"
+#include "obs/trace.hpp"
 
 using namespace pgsi;
 
@@ -55,6 +56,29 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
         .count();
 }
+
+// Span recording over a stretch of the bench: on from construction, back to
+// its previous state on destruction. seconds(leaf) is the wall time spans
+// with that leaf name gained since construction, so spans recorded earlier
+// (PGSI_TRACE=1) are neither counted nor dropped.
+class StageClock {
+public:
+    StageClock() : was_on_(obs::trace_enabled()), before_(obs::span_totals()) {
+        obs::set_trace_enabled(true);
+    }
+    ~StageClock() { obs::set_trace_enabled(was_on_); }
+    StageClock(const StageClock&) = delete;
+    StageClock& operator=(const StageClock&) = delete;
+
+    double seconds(std::string_view leaf) const {
+        return obs::leaf_seconds(obs::span_totals(), leaf) -
+               obs::leaf_seconds(before_, leaf);
+    }
+
+private:
+    bool was_on_;
+    std::vector<obs::SpanTotal> before_;
+};
 
 double max_rel_diff(const MatrixD& a, const MatrixD& b) {
     const double scale = std::max(a.max_abs(), 1e-300);
@@ -315,9 +339,11 @@ void write_scaling_json(const char* path, bool smoke) {
         hopt.hmatrix.eta = 2.0;
         hopt.gmres.tol = 1e-10;
         const IterativeSolver compressed(hbem, zs, hopt);
+        const StageClock stages;
         t0 = std::chrono::steady_clock::now();
         const auto zh = compressed.sweep_impedance(freqs, ports);
         const double hmatrix_s = seconds_since(t0);
+        const double build_s = stages.seconds("em.hmatrix.build");
 
         const double rel_err = max_rel_diff(zh, zd);
         const IterativeSolverStats& st = compressed.stats();
@@ -332,7 +358,7 @@ void write_scaling_json(const char* path, bool smoke) {
                      n, dense_bem.node_count(),
                      dense_bem.mesh().branch_count(), freqs.size(), dense_s,
                      hmatrix_s, dense_s / std::max(hmatrix_s, 1e-9), rel_err,
-                     st.hmatrix_build_seconds, st.aca_blocks,
+                     build_s, st.aca_blocks,
                      st.aca_dense_blocks, st.hmatrix_compression,
                      st.iterations, si + 1 < nh ? "," : "");
         std::printf("  n=%2d hmatrix: dense %.3fs / compressed %.3fs "
@@ -373,6 +399,7 @@ void print_experiment() {
                 "C_tot [nF]", "L_pin [nH]", "Z(100MHz) [mohm]", "time [s]",
                 "fill/invert/gamma [s]");
     for (int n : {6, 10, 14, 18, 24}) {
+        const StageClock stages;
         const auto t0 = std::chrono::steady_clock::now();
         const PlaneBem bem = make_plane(n);
         const std::size_t p1 = bem.mesh().nearest_node({0.005, 0.005}, 0);
@@ -393,14 +420,15 @@ void print_experiment() {
         const auto t1 = std::chrono::steady_clock::now();
         const double secs =
             std::chrono::duration<double>(t1 - t0).count();
-        const BemAssemblyStats& st = bem.stats();
         std::printf("%2dx%-5d %-8zu %-12.3f %-14.3f %-16.1f %-10.2f "
                     "%.3f/%.3f/%.3f\n",
                     n, (n * 8) / 10, bem.node_count(),
                     ec.total_reference_capacitance() * 1e9, lpin * 1e9,
                     z100 * 1e3, secs,
-                    st.potential_seconds + st.inductance_seconds,
-                    st.capacitance_seconds, st.gamma_seconds);
+                    stages.seconds("bem.fill.potential") +
+                        stages.seconds("bem.fill.inductance"),
+                    stages.seconds("bem.invert.potential"),
+                    stages.seconds("bem.gamma"));
     }
     std::printf("\nexpected shape: port quantities settle within a few %% by "
                 "moderate densities while cost grows ~N^3 (dense "
@@ -410,9 +438,11 @@ void print_experiment() {
 
 void BM_full_pipeline(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));
-    // Per-stage wall time accumulated across iterations; exported as rate
-    // counters so BENCH_*.json trajectories resolve which stage moved.
-    double fill_s = 0, invert_s = 0, gamma_s = 0, extract_s = 0;
+    // Per-stage wall time accumulated across iterations (the assembly stages
+    // from their spans); exported as rate counters so BENCH_*.json
+    // trajectories resolve which stage moved.
+    double extract_s = 0;
+    const StageClock stages;
     for (auto _ : state) {
         const PlaneBem bem = make_plane(n);
         // Force the lazy assembly stages up front so the extract window below
@@ -425,18 +455,17 @@ void BM_full_pipeline(benchmark::State& state) {
             {bem.mesh().nearest_node({0.005, 0.005}, 0)}, 12));
         const auto t1 = std::chrono::steady_clock::now();
         benchmark::DoNotOptimize(ec.branches.size());
-        const BemAssemblyStats& st = bem.stats();
-        fill_s += st.potential_seconds + st.inductance_seconds;
-        invert_s += st.capacitance_seconds;
-        gamma_s += st.gamma_seconds;
         extract_s += std::chrono::duration<double>(t1 - t0).count();
     }
-    state.counters["fill_s"] =
-        benchmark::Counter(fill_s, benchmark::Counter::kAvgIterations);
-    state.counters["invert_s"] =
-        benchmark::Counter(invert_s, benchmark::Counter::kAvgIterations);
-    state.counters["gamma_s"] =
-        benchmark::Counter(gamma_s, benchmark::Counter::kAvgIterations);
+    state.counters["fill_s"] = benchmark::Counter(
+        stages.seconds("bem.fill.potential") +
+            stages.seconds("bem.fill.inductance"),
+        benchmark::Counter::kAvgIterations);
+    state.counters["invert_s"] = benchmark::Counter(
+        stages.seconds("bem.invert.potential"),
+        benchmark::Counter::kAvgIterations);
+    state.counters["gamma_s"] = benchmark::Counter(
+        stages.seconds("bem.gamma"), benchmark::Counter::kAvgIterations);
     state.counters["extract_s"] =
         benchmark::Counter(extract_s, benchmark::Counter::kAvgIterations);
     state.SetComplexityN(n * n);

@@ -1,6 +1,5 @@
 #include "circuit/transient.hpp"
 
-#include <chrono>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -495,7 +494,6 @@ struct TransientStepper::Impl {
         // this step is touched, so a cancelled run stops on a consistent
         // previous-step state.
         if (ropt.cancel != nullptr) ropt.cancel->poll("transient.step");
-        const auto wall0 = std::chrono::steady_clock::now();
         PGSI_ALLOC_SCOPE("circuit.transient");
         if (!streams_opened && obs::streams_enabled()) {
             streams_opened = true;
@@ -553,10 +551,6 @@ struct TransientStepper::Impl {
             obs::stream_append(
                 dt_sid, t,
                 dt / static_cast<double>(last_step_substeps));
-        stats.wall_seconds +=
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          wall0)
-                .count();
     }
 
     // One attempt at the step ending at time t with integrator m. Returns

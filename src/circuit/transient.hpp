@@ -52,7 +52,8 @@ struct TransientOptions {
     robust::RecoveryOptions recovery;
 };
 
-/// Solver telemetry of a transient run / stepper.
+/// Work counts of a transient run / stepper (wall time is in the
+/// transient.* spans).
 struct TransientStats {
     std::size_t steps = 0;             ///< time steps advanced
     std::size_t newton_iterations = 0; ///< Newton passes over table elements
@@ -62,7 +63,6 @@ struct TransientStats {
     std::size_t lti_factorizations = 0; ///< interior (A_II) factorizations
     std::size_t lu_solves = 0;         ///< MNA system solves
     std::size_t border_dim = 0;        ///< k: unknowns in the border block
-    double wall_seconds = 0;           ///< wall time spent inside step()
 };
 
 /// Recorded waveforms of a transient run.

@@ -1,7 +1,6 @@
 #include "em/bem_plane.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <utility>
 
@@ -15,26 +14,6 @@
 #include "obs/trace.hpp"
 
 namespace pgsi {
-
-namespace {
-
-// Accumulate elapsed wall time into a stats field on scope exit.
-class StageTimer {
-public:
-    explicit StageTimer(double& acc)
-        : acc_(acc), t0_(std::chrono::steady_clock::now()) {}
-    ~StageTimer() {
-        acc_ += std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              t0_)
-                    .count();
-    }
-
-private:
-    double& acc_;
-    std::chrono::steady_clock::time_point t0_;
-};
-
-} // namespace
 
 PlaneBem::PlaneBem(RectMesh mesh, Greens greens, BemOptions options)
     : mesh_(std::move(mesh)), greens_(std::move(greens)), options_(options) {
@@ -95,7 +74,6 @@ obs::Counter& cache_entry_counter() {
 void PlaneBem::assemble_potential() const {
     PGSI_TRACE_SCOPE("bem.fill.potential");
     PGSI_ALLOC_SCOPE("em.assembly");
-    StageTimer timer(stats_.potential_seconds);
     const auto& nodes = mesh_.nodes();
     const std::size_t n = nodes.size();
     MatrixD p(n, n);
@@ -159,7 +137,6 @@ const MatrixD& PlaneBem::maxwell_capacitance() const {
         const MatrixD& p = potential_matrix();
         PGSI_TRACE_SCOPE("bem.invert.potential");
         PGSI_ALLOC_SCOPE("em.assembly");
-        StageTimer timer(stats_.capacitance_seconds);
         try {
             cmax_ = Cholesky(p).inverse();
         } catch (const NumericalError&) {
@@ -174,7 +151,6 @@ const MatrixD& PlaneBem::maxwell_capacitance() const {
 void PlaneBem::assemble_inductance() const {
     PGSI_TRACE_SCOPE("bem.fill.inductance");
     PGSI_ALLOC_SCOPE("em.assembly");
-    StageTimer timer(stats_.inductance_seconds);
     const auto& branches = mesh_.branches();
     const std::size_t m = branches.size();
     MatrixD l(m, m);
@@ -274,7 +250,6 @@ const MatrixD& PlaneBem::gamma() const {
         const MatrixD& l = inductance_matrix();
         PGSI_TRACE_SCOPE("bem.gamma");
         PGSI_ALLOC_SCOPE("em.assembly");
-        StageTimer timer(stats_.gamma_seconds);
         const MatrixD a = incidence_dense();
         // X = L⁻¹ P, then Γ = Pᵀ X accumulated through the sparse incidence.
         MatrixD x;

@@ -66,13 +66,10 @@ struct BemOptions {
     AssemblyMode assembly = AssemblyMode::Auto;
 };
 
-/// Wall-time telemetry of the lazy BEM assembly steps (seconds; zero until
-/// the corresponding matrix is first requested).
+/// Work telemetry of the lazy BEM assembly steps. Their wall time is in
+/// the spans bem.fill.potential, bem.fill.inductance, bem.invert.potential
+/// and bem.gamma (obs/trace.hpp).
 struct BemAssemblyStats {
-    double potential_seconds = 0;    ///< Ppot fill
-    double inductance_seconds = 0;   ///< L fill
-    double capacitance_seconds = 0;  ///< C = Ppot⁻¹ factorization/inverse
-    double gamma_seconds = 0;        ///< Γ = Pᵀ L⁻¹ P
     bool potential_cached = false;   ///< Ppot fill used the interaction table
     bool inductance_cached = false;  ///< L fill used the interaction table
     std::size_t cache_entries = 0;   ///< distinct offset-table entries evaluated
@@ -153,7 +150,7 @@ public:
     /// Global branch ids of the two current-cell directions (x, then y).
     std::array<std::vector<std::size_t>, 2> branch_direction_index() const;
 
-    /// Per-stage assembly wall times observed so far.
+    /// Assembly work observed so far (table use, cache entries).
     const BemAssemblyStats& stats() const { return stats_; }
 
 private:

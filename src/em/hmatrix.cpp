@@ -1,7 +1,6 @@
 #include "em/hmatrix.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <utility>
 
@@ -13,11 +12,6 @@
 namespace pgsi {
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-        .count();
-}
 
 /// Compressing a block below this edge length never pays: the cross slices
 /// alone cost as much as the dense fill.
@@ -388,7 +382,6 @@ Hmatrix::Hmatrix(std::vector<std::array<double, 3>> points, KernelFn kernel,
 
 void Hmatrix::build(robust::RecoveryReport* report) {
     PGSI_TRACE_SCOPE("em.hmatrix.build");
-    const auto t0 = std::chrono::steady_clock::now();
     stats_.elements = tree_.size();
     if (tree_.size() == 0) return;
 
@@ -588,9 +581,7 @@ void Hmatrix::build(robust::RecoveryReport* report) {
             }
         }
     }
-    stats_.build_seconds = seconds_since(t0);
     obs::gauge("em.hmatrix.compression").set(stats_.compression());
-    obs::histogram("em.hmatrix.build_seconds").record(stats_.build_seconds);
 }
 
 void Hmatrix::apply(const Complex* x, Complex* y) const {

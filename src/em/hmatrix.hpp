@@ -76,7 +76,8 @@ struct HmatrixOptions {
     std::size_t node_threshold = 160;
 };
 
-/// Telemetry of one H-matrix build.
+/// Work telemetry of one H-matrix build (its wall time is the
+/// em.hmatrix.build span).
 struct HmatrixStats {
     std::size_t elements = 0;        ///< matrix dimension
     std::size_t lowrank_blocks = 0;  ///< admissible blocks kept in ACA form
@@ -87,7 +88,6 @@ struct HmatrixStats {
     std::size_t aca_retightened = 0; ///< ladder rung 1: tightened-tol retries
     std::size_t aca_dense_fallbacks = 0; ///< ladder rung 2: dense blocks
     std::size_t stored_entries = 0;  ///< coefficients kept (U, V, dense)
-    double build_seconds = 0;
     /// stored_entries / elements², <1 once compression wins.
     double compression() const {
         const double n = static_cast<double>(elements);

@@ -1,6 +1,5 @@
 #include "em/iterative_solver.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -20,11 +19,6 @@ namespace pgsi {
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
 // Retained recycled-subspace dimension of the sweep engine: the most recent
 // solution vectors, orthonormalized, with their operator component products
 // cached so re-projecting at a new frequency costs no matvecs. Must sit above
@@ -33,14 +27,19 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 // discards the bracketing solutions the projection needs.
 constexpr std::size_t kRecycleDim = 48;
 
+// Edge length of a near-field preconditioner tile, in mesh cells. Each tile
+// gathers the current cells whose midpoints fall in a square this many
+// pitches wide and factors their dense coupling block. Tiles must be large
+// enough to capture the local plaquette loop currents; below ~8 cells the
+// block approximation degrades visibly on stacked or multi-island meshes.
+constexpr std::size_t kPrecondTileCells = 10;
+
 } // namespace
 
 IterativeSolver::IterativeSolver(const PlaneBem& bem, SurfaceImpedance zs,
                                  SolverOptions options)
     : bem_(bem), zs_(zs), options_(options),
       active_precond_(options.preconditioner) {
-    PGSI_REQUIRE(options_.precond_tile_cells >= 1,
-                 "SolverOptions: precond_tile_cells must be >= 1");
     PGSI_REQUIRE(options_.fail_tol > 0, "SolverOptions: fail_tol must be positive");
 }
 
@@ -51,7 +50,6 @@ void IterativeSolver::ensure_setup() const {
 void IterativeSolver::setup() const {
     PGSI_TRACE_SCOPE("em.iterative.setup");
     PGSI_ALLOC_SCOPE("em.iterative");
-    const auto t0 = std::chrono::steady_clock::now();
     // Operator path. On non-uniform meshes (where PlaneBem's operators would
     // fall back to dense products, forcing an O(N²) fill) the setup instead
     // compresses P and L into ACA/H-matrix operators sampled from the exact
@@ -103,7 +101,6 @@ void IterativeSolver::setup() const {
                 stats_.aca_dense_blocks += hs.dense_blocks;
                 stats_.aca_retightened += hs.aca_retightened;
                 stats_.aca_dense_fallbacks += hs.aca_dense_fallbacks;
-                stats_.hmatrix_build_seconds += hs.build_seconds;
                 stored += hs.stored_entries;
                 elems2 += static_cast<double>(hs.elements) *
                           static_cast<double>(hs.elements);
@@ -149,7 +146,7 @@ void IterativeSolver::setup() const {
         // appear in blocks that couple both directions. std::map keeps the
         // tile order deterministic.
         const double tw =
-            static_cast<double>(options_.precond_tile_cells) * bem_.mesh().pitch();
+            static_cast<double>(kPrecondTileCells) * bem_.mesh().pitch();
         std::map<std::pair<long, long>, std::vector<std::size_t>> groups;
         for (std::size_t b = 0; b < branches.size(); ++b) {
             const double mx = 0.5 * (branches[b].x0 + branches[b].x1);
@@ -184,7 +181,6 @@ void IterativeSolver::setup() const {
         diag_l_[b] = lop.entry(b, b);
         diag_s_[b] = s_entry(b, b);
     });
-    stats_.setup_seconds += seconds_since(t0);
 }
 
 MatrixC IterativeSolver::solve_ports(
@@ -628,14 +624,7 @@ MatrixC IterativeSolver::port_impedance(
                      "IterativeSolver: port node out of range");
     PGSI_TRACE_SCOPE("em.solve.port_impedance_iterative");
     ensure_setup();
-    const auto t0 = std::chrono::steady_clock::now();
-    MatrixC z = solve_ports(freq_hz, port_nodes, nullptr);
-    const double dt = seconds_since(t0);
-    {
-        const std::lock_guard<std::mutex> lock(stats_mu_);
-        stats_.solve_seconds += dt;
-    }
-    return z;
+    return solve_ports(freq_hz, port_nodes, nullptr);
 }
 
 std::vector<MatrixC> IterativeSolver::sweep_impedance(
@@ -689,14 +678,8 @@ std::vector<MatrixC> IterativeSolver::sweep_impedance(
     }
     SweepState sweep;
     for (const std::size_t i : order) {
-        const auto t0 = std::chrono::steady_clock::now();
         const std::size_t iters_before = stats_.iterations;
         out[i] = solve_ports(freqs_hz[i], port_nodes, &sweep);
-        const double dt = seconds_since(t0);
-        {
-            const std::lock_guard<std::mutex> lock(stats_mu_);
-            stats_.solve_seconds += dt;
-        }
         if (sid != obs::kStreamNone)
             obs::stream_append(
                 sid, freqs_hz[i],

@@ -45,8 +45,9 @@
 
 namespace pgsi {
 
-/// Cumulative telemetry of an IterativeSolver across every frequency point
-/// it has processed.
+/// Cumulative work counts of an IterativeSolver across every frequency
+/// point it has processed. Wall time is in the em.iterative.setup,
+/// em.hmatrix.build and em.solve.* spans.
 struct IterativeSolverStats {
     std::size_t frequencies = 0; ///< port_impedance evaluations
     /// Column solves actually attempted: the pending column count of each
@@ -83,11 +84,8 @@ struct IterativeSolverStats {
     std::size_t aca_dense_blocks = 0;    ///< near-field + fallback dense blocks
     std::size_t aca_retightened = 0;     ///< ladder rung 1 retries
     std::size_t aca_dense_fallbacks = 0; ///< ladder rung 2 dense blocks
-    double hmatrix_build_seconds = 0;    ///< total compression wall time
     /// Aggregate stored-coefficients / Σ n² over the parts (<1 = compressed).
     double hmatrix_compression = 1.0;
-    double setup_seconds = 0;    ///< operator build + tile partition
-    double solve_seconds = 0;    ///< GMRES + recovery wall time
     double worst_residual = 0;   ///< largest final true relative residual
 };
 

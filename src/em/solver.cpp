@@ -1,6 +1,5 @@
 #include "em/solver.hpp"
 
-#include <chrono>
 #include <memory>
 
 #include "common/constants.hpp"
@@ -11,15 +10,6 @@
 #include "obs/trace.hpp"
 
 namespace pgsi {
-
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-} // namespace
 
 DirectSolver::DirectSolver(const PlaneBem& bem, SurfaceImpedance zs,
                            robust::RecoveryOptions recovery)
@@ -39,7 +29,6 @@ MatrixC DirectSolver::nodal_admittance(double freq_hz) const {
     const std::size_t n = bem_.node_count();
 
     // Branch impedance matrix Zb = Zs(ω)·len/width + jωL.
-    auto t0 = std::chrono::steady_clock::now();
     MatrixC zb(m, m);
     par::parallel_for_chunked(m, 0, [&](std::size_t a0, std::size_t a1) {
         for (std::size_t a = a0; a < a1; ++a) {
@@ -51,11 +40,9 @@ MatrixC DirectSolver::nodal_admittance(double freq_hz) const {
     const Complex zs = zs_.at(omega);
     for (std::size_t b = 0; b < m; ++b)
         zb(b, b) += zs * branches[b].length() / branches[b].width();
-    const double fill_s = seconds_since(t0);
 
     // X = Zb⁻¹ P through a single blocked multi-RHS solve against the dense
     // incidence; Y = Pᵀ X accumulated through the sparse incidence rows.
-    t0 = std::chrono::steady_clock::now();
     std::unique_ptr<const Lu<Complex>> lu;
     try {
         lu = std::make_unique<const Lu<Complex>>(std::move(zb));
@@ -64,9 +51,7 @@ MatrixC DirectSolver::nodal_admittance(double freq_hz) const {
                        std::to_string(freq_hz) + " Hz");
         throw;
     }
-    const double factor_s = seconds_since(t0);
 
-    t0 = std::chrono::steady_clock::now();
     MatrixC incidence(m, n);
     for (std::size_t b = 0; b < m; ++b) {
         incidence(b, branches[b].n1) = Complex(1.0, 0.0);
@@ -90,15 +75,11 @@ MatrixC DirectSolver::nodal_admittance(double freq_hz) const {
             for (std::size_t j = 0; j < n; ++j) yrow[j] += jw * crow[j];
         }
     });
-    const double solve_s = seconds_since(t0);
     {
         const std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.frequencies;
         ++stats_.factorizations;
         stats_.solves += n;
-        stats_.fill_seconds += fill_s;
-        stats_.factor_seconds += factor_s;
-        stats_.solve_seconds += solve_s;
     }
     return y;
 }
@@ -120,21 +101,15 @@ MatrixC DirectSolver::port_impedance(
     // Only the port columns of Y⁻¹ are observable: solve Y X = [e_p ...]
     // (|ports| right-hand sides) instead of forming the full inverse, then
     // read the port rows of X.
-    auto t0 = std::chrono::steady_clock::now();
     const Lu<Complex> lu(y);
-    const double factor_s = seconds_since(t0);
-    t0 = std::chrono::steady_clock::now();
     MatrixC rhs(n, p);
     for (std::size_t k = 0; k < p; ++k) rhs(port_nodes[k], k) = Complex(1.0, 0.0);
     const MatrixC cols = lu.solve(rhs);
     MatrixC z(p, p);
     for (std::size_t q = 0; q < p; ++q)
         for (std::size_t k = 0; k < p; ++k) z(q, k) = cols(port_nodes[q], k);
-    const double solve_s = seconds_since(t0);
     {
         const std::lock_guard<std::mutex> lock(stats_mu_);
-        stats_.factor_seconds += factor_s;
-        stats_.solve_seconds += solve_s;
         ++stats_.factorizations;
         stats_.solves += p;
     }

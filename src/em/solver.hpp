@@ -43,13 +43,6 @@ struct SolverOptions {
     /// is uniform-lattice and assembly is not Direct).
     std::size_t auto_node_threshold = 400;
     PreconditionerKind preconditioner = PreconditionerKind::NearFieldBlock;
-    /// Edge length of a near-field preconditioner tile, in mesh cells. Each
-    /// tile gathers the current cells whose midpoints fall in a square this
-    /// many pitches wide and factors their dense coupling block. Tiles must
-    /// be large enough to capture the local plaquette loop currents; below
-    /// ~8 cells the block approximation degrades visibly on stacked or
-    /// multi-island meshes.
-    std::size_t precond_tile_cells = 10;
     GmresOptions gmres; ///< restart / iteration budget / target residual
     /// An iterative solve whose final true relative residual exceeds this
     /// is either recovered (preconditioner escalation, then dense-LU
@@ -100,15 +93,12 @@ std::unique_ptr<PlaneSolver> make_solver(const PlaneBem& bem,
                                          SurfaceImpedance zs,
                                          const SolverOptions& options = {});
 
-/// Cumulative telemetry of a DirectSolver across every frequency point it
-/// has processed (fill/factor/solve wall seconds plus work counts).
+/// Cumulative work counts of a DirectSolver across every frequency point it
+/// has processed. Wall time is in the em.solve.* spans.
 struct DirectSolverStats {
     std::size_t frequencies = 0;      ///< nodal_admittance evaluations
     std::size_t factorizations = 0;   ///< dense LU factorizations
     std::size_t solves = 0;           ///< triangular solves (one per column)
-    double fill_seconds = 0;          ///< branch-impedance matrix fill
-    double factor_seconds = 0;        ///< LU factorization
-    double solve_seconds = 0;         ///< back-substitution + Y accumulation
 };
 
 /// Direct sweep solver over an assembled PlaneBem.

@@ -1,6 +1,5 @@
 #include "fdtd/plane_fdtd.hpp"
 
-#include <chrono>
 #include <cmath>
 
 #include "common/constants.hpp"
@@ -37,7 +36,6 @@ std::size_t PlaneFdtd::add_port(Point2 p, double r, Source src) {
 PlaneFdtdResult PlaneFdtd::run(double tstop) {
     PGSI_REQUIRE(tstop > dt_, "PlaneFdtd: tstop must exceed dt");
     PGSI_TRACE_SCOPE("fdtd.run");
-    const auto wall0 = std::chrono::steady_clock::now();
     const std::size_t nx = opt_.nx, ny = opt_.ny;
     // V at cell centers; Jx on vertical edges between x-neighbours
     // (nx-1)*ny; Jy on horizontal edges nx*(ny-1). Edge currents at the plane
@@ -118,19 +116,8 @@ PlaneFdtdResult PlaneFdtd::run(double tstop) {
     }
     res.stats.steps = steps;
     res.stats.cells = nx * ny;
-    res.stats.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-            .count();
-    if (res.stats.wall_seconds > 0) {
-        res.stats.steps_per_second =
-            static_cast<double>(steps) / res.stats.wall_seconds;
-        res.stats.cell_updates_per_second =
-            res.stats.steps_per_second * static_cast<double>(res.stats.cells);
-    }
     static obs::Counter& step_counter = obs::counter("fdtd.steps");
     step_counter.add(steps);
-    obs::gauge("fdtd.cell_updates_per_second")
-        .set(res.stats.cell_updates_per_second);
     return res;
 }
 

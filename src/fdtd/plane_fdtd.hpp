@@ -36,20 +36,17 @@ struct PlaneFdtdOptions {
     double dt = 0;           ///< time step [s]; 0 = 0.9 × CFL limit
 };
 
-/// Throughput telemetry of an FDTD run.
+/// Work telemetry of an FDTD run (its wall time is the fdtd.run span).
 struct PlaneFdtdStats {
     std::size_t steps = 0;           ///< leapfrog steps executed
     std::size_t cells = 0;           ///< nx × ny voltage cells
-    double wall_seconds = 0;         ///< wall time of run()
-    double steps_per_second = 0;     ///< steps / wall_seconds
-    double cell_updates_per_second = 0; ///< steps × cells / wall_seconds
 };
 
 /// Recorded port waveforms of an FDTD run.
 struct PlaneFdtdResult {
     VectorD time;
     std::vector<VectorD> port_voltage; ///< per port, one sample per step
-    PlaneFdtdStats stats;              ///< throughput telemetry
+    PlaneFdtdStats stats;              ///< work telemetry
 };
 
 /// Leapfrog simulator for one plane pair with lumped resistive ports.

@@ -196,23 +196,6 @@ MetricsSnapshot metrics_snapshot() {
     return out;
 }
 
-namespace {
-
-// Shortest double representation that round-trips; avoids "1e+06" noise for
-// integral values.
-std::string json_num(double v) {
-    char buf[64];
-    if (v == static_cast<double>(static_cast<long long>(v)) &&
-        std::abs(v) < 1e15) {
-        std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-    } else {
-        std::snprintf(buf, sizeof buf, "%.17g", v);
-    }
-    return buf;
-}
-
-} // namespace
-
 std::string metrics_json() {
     const MetricsSnapshot snap = metrics_snapshot();
     std::string out = "{\"counters\":{";
@@ -221,7 +204,7 @@ std::string metrics_json() {
         out += first ? "\"" : ",\"";
         out += json_escape(name);
         out += "\":";
-        out += json_num(static_cast<double>(v));
+        out += json_number(static_cast<double>(v));
         first = false;
     }
     out += "},\"gauges\":{";
@@ -230,7 +213,7 @@ std::string metrics_json() {
         out += first ? "\"" : ",\"";
         out += json_escape(name);
         out += "\":";
-        out += json_num(v);
+        out += json_number(v);
         first = false;
     }
     out += "},\"histograms\":{";
@@ -239,13 +222,13 @@ std::string metrics_json() {
         out += first ? "\"" : ",\"";
         out += json_escape(name);
         out += "\":{\"count\":";
-        out += json_num(static_cast<double>(s.count));
+        out += json_number(static_cast<double>(s.count));
         out += ",\"sum\":";
-        out += json_num(s.sum);
+        out += json_number(s.sum);
         out += ",\"min\":";
-        out += json_num(s.min);
+        out += json_number(s.min);
         out += ",\"max\":";
-        out += json_num(s.max);
+        out += json_number(s.max);
         out += ",\"buckets\":{";
         bool bfirst = true;
         for (std::size_t k = 0; k < s.buckets.size(); ++k) {

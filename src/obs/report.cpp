@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <thread>
 
 #include "common/error.hpp"
@@ -26,17 +24,6 @@ std::uint64_t steady_now_ns() {
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
-}
-
-std::string jnum(double v) {
-    if (!std::isfinite(v)) return "null";
-    char buf[64];
-    if (v == static_cast<double>(static_cast<long long>(v)) &&
-        std::abs(v) < 1e15)
-        std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-    else
-        std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
 }
 
 std::string jstr(std::string_view s) {
@@ -68,7 +55,7 @@ SolveReportBuilder::Section& SolveReportBuilder::section(std::string_view name) 
 
 void SolveReportBuilder::add_number(std::string_view sec, std::string_view key,
                                     double value) {
-    section(sec).emplace_back(std::string(key), jnum(value));
+    section(sec).emplace_back(std::string(key), json_number(value));
 }
 
 void SolveReportBuilder::add_text(std::string_view sec, std::string_view key,
@@ -87,7 +74,7 @@ std::string SolveReportBuilder::build_json() const {
     out += ",\"tool\":";
     out += jstr(tool_);
     out += ",\"wall_seconds\":";
-    out += jnum(static_cast<double>(steady_now_ns() - start_ns_) * 1e-9);
+    out += json_number(static_cast<double>(steady_now_ns() - start_ns_) * 1e-9);
 
     out += ",\"argv\":[";
     for (std::size_t i = 0; i < argv_.size(); ++i) {
@@ -98,9 +85,9 @@ std::string SolveReportBuilder::build_json() const {
 
     // Environment / config fingerprint.
     out += ",\"environment\":{\"threads\":";
-    out += jnum(static_cast<double>(par::thread_count()));
+    out += json_number(static_cast<double>(par::thread_count()));
     out += ",\"hardware_concurrency\":";
-    out += jnum(static_cast<double>(std::thread::hardware_concurrency()));
+    out += json_number(static_cast<double>(std::thread::hardware_concurrency()));
     out += ",\"compiler\":";
 #if defined(__VERSION__)
     out += jstr(__VERSION__);
@@ -131,16 +118,16 @@ std::string SolveReportBuilder::build_json() const {
     // Resources: peak RSS, allocation counters, pool utilization.
     const MetricsSnapshot snap = metrics_snapshot();
     out += ",\"resources\":{\"peak_rss_bytes\":";
-    out += jnum(static_cast<double>(peak_rss_bytes()));
+    out += json_number(static_cast<double>(peak_rss_bytes()));
     out += ",\"matrix_alloc_count\":";
-    out += jnum(static_cast<double>(snap.counter_value("alloc.matrix.count")));
+    out += json_number(static_cast<double>(snap.counter_value("alloc.matrix.count")));
     out += ",\"matrix_alloc_bytes\":";
-    out += jnum(static_cast<double>(snap.counter_value("alloc.matrix.bytes")));
+    out += json_number(static_cast<double>(snap.counter_value("alloc.matrix.bytes")));
     double largest = 0;
     for (const auto& [name, h] : snap.histograms)
         if (name == "alloc.matrix.bytes_per_alloc") largest = h.max;
     out += ",\"largest_matrix_bytes\":";
-    out += jnum(largest);
+    out += json_number(largest);
     out += ",\"subsystem_bytes\":{";
     {
         bool first = true;
@@ -155,7 +142,7 @@ std::string SolveReportBuilder::build_json() const {
             if (!first) out += ',';
             out += jstr(tag);
             out += ':';
-            out += jnum(static_cast<double>(v));
+            out += json_number(static_cast<double>(v));
             first = false;
         }
     }
@@ -164,17 +151,17 @@ std::string SolveReportBuilder::build_json() const {
     // Pool utilization: busy ns per slot over the covered wall time.
     const par::PoolStats pool = par::pool_stats();
     out += ",\"pool\":{\"threads\":";
-    out += jnum(static_cast<double>(pool.threads));
+    out += json_number(static_cast<double>(pool.threads));
     out += ",\"jobs\":";
-    out += jnum(static_cast<double>(pool.jobs));
+    out += json_number(static_cast<double>(pool.jobs));
     out += ",\"items\":";
-    out += jnum(static_cast<double>(pool.items));
+    out += json_number(static_cast<double>(pool.items));
     out += ",\"wall_ns\":";
-    out += jnum(static_cast<double>(pool.wall_ns));
+    out += json_number(static_cast<double>(pool.wall_ns));
     out += ",\"busy_ns\":[";
     for (std::size_t i = 0; i < pool.busy_ns.size(); ++i) {
         if (i) out += ',';
-        out += jnum(static_cast<double>(pool.busy_ns[i]));
+        out += json_number(static_cast<double>(pool.busy_ns[i]));
     }
     out += "]";
     if (pool.wall_ns > 0 && !pool.busy_ns.empty()) {
@@ -182,36 +169,28 @@ std::string SolveReportBuilder::build_json() const {
         for (const std::uint64_t b : pool.busy_ns)
             busy += static_cast<double>(b);
         out += ",\"utilization\":";
-        out += jnum(busy / (static_cast<double>(pool.wall_ns) *
+        out += json_number(busy / (static_cast<double>(pool.wall_ns) *
                             static_cast<double>(pool.busy_ns.size())));
     }
     out += "}";
 
     // Spans, aggregated by path (count + inclusive total), slowest first.
     {
-        std::map<std::string, std::pair<std::size_t, std::uint64_t>> agg;
-        for (const SpanRecord& r : trace_records()) {
-            auto& [count, total] = agg[r.path];
-            ++count;
-            total += r.dur_ns;
-        }
-        std::vector<std::pair<std::string, std::pair<std::size_t, std::uint64_t>>>
-            rows(agg.begin(), agg.end());
-        std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-            return a.second.second > b.second.second;
-        });
+        std::vector<SpanTotal> rows = span_totals();
+        std::stable_sort(rows.begin(), rows.end(),
+                         [](const SpanTotal& a, const SpanTotal& b) {
+                             return a.total_ns > b.total_ns;
+                         });
         out += ",\"spans\":[";
-        bool first = true;
-        for (const auto& [path, ct] : rows) {
-            if (!first) out += ',';
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            if (i) out += ',';
             out += "{\"path\":";
-            out += jstr(path);
+            out += jstr(rows[i].path);
             out += ",\"count\":";
-            out += jnum(static_cast<double>(ct.first));
+            out += json_number(static_cast<double>(rows[i].count));
             out += ",\"total_ns\":";
-            out += jnum(static_cast<double>(ct.second));
+            out += json_number(static_cast<double>(rows[i].total_ns));
             out += "}";
-            first = false;
         }
         out += "]";
     }
@@ -228,22 +207,22 @@ std::string SolveReportBuilder::build_json() const {
             for (std::size_t i = 0; i < s.x.size(); ++i) {
                 if (i) out += ',';
                 out += '[';
-                out += jnum(s.x[i]);
+                out += json_number(s.x[i]);
                 out += ',';
-                out += jnum(s.y[i]);
+                out += json_number(s.y[i]);
                 out += ']';
             }
             out += "],\"marks\":[";
             for (std::size_t i = 0; i < s.marks.size(); ++i) {
                 if (i) out += ',';
                 out += "{\"x\":";
-                out += jnum(s.marks[i].x);
+                out += json_number(s.marks[i].x);
                 out += ",\"label\":";
                 out += jstr(s.marks[i].label);
                 out += '}';
             }
             out += "],\"dropped\":";
-            out += jnum(static_cast<double>(s.dropped));
+            out += json_number(static_cast<double>(s.dropped));
             out += '}';
             first = false;
         }
@@ -297,17 +276,6 @@ void SolveReportBuilder::write_file(const std::string& path) const {
 
 namespace {
 
-std::string fmt_ns(double ns) {
-    char buf[64];
-    if (ns >= 1e9)
-        std::snprintf(buf, sizeof buf, "%.3f s", ns * 1e-9);
-    else if (ns >= 1e6)
-        std::snprintf(buf, sizeof buf, "%.3f ms", ns * 1e-6);
-    else
-        std::snprintf(buf, sizeof buf, "%.1f us", ns * 1e-3);
-    return buf;
-}
-
 std::string fmt_bytes(double b) {
     char buf[64];
     if (b >= 1024.0 * 1024.0 * 1024.0)
@@ -354,7 +322,7 @@ std::string render_solve_report_markdown(const JsonValue& report,
             if (shown++ >= top_spans) break;
             md += "| `" + s.str_or("path", "?") + "` | " +
                   fmt_g(s.num_or("count", 0)) + " | " +
-                  fmt_ns(s.num_or("total_ns", 0)) + " |\n";
+                  format_duration(s.num_or("total_ns", 0)) + " |\n";
         }
         md += "\n";
     }
@@ -441,7 +409,7 @@ std::string render_solve_report_markdown(const JsonValue& report,
                 const char* who = i == 0 ? "callers" : "worker";
                 md += "  - " + std::string(who) +
                       (i == 0 ? std::string() : "-" + std::to_string(i)) +
-                      ": busy " + fmt_ns(busy->array[i].number);
+                      ": busy " + format_duration(busy->array[i].number);
                 if (wall > 0)
                     md += " (" + fmt_g(100.0 * busy->array[i].number / wall) +
                           " % of wall)";

@@ -11,7 +11,7 @@ namespace pgsi::obs {
 
 namespace detail {
 std::atomic_int g_resource_state{-1};
-thread_local const char* t_alloc_tag = nullptr;
+constinit thread_local const char* t_alloc_tag = nullptr;
 
 int resource_state_slow() noexcept {
     // Racing first calls store identical state; the race is benign.

@@ -27,7 +27,7 @@ namespace detail {
 int resource_state_slow() noexcept;
 extern std::atomic_int g_resource_state;
 void note_matrix_alloc_slow(std::size_t bytes) noexcept;
-extern thread_local const char* t_alloc_tag;
+extern constinit thread_local const char* t_alloc_tag;
 } // namespace detail
 
 /// True when resource accounting is active. The hot path is a single

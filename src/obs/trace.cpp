@@ -1,6 +1,8 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -159,12 +161,37 @@ void SpanScope::end() noexcept {
     }
 }
 
-namespace {
+std::vector<SpanTotal> span_totals() {
+    // std::map keeps "a" < "a/b" < "a/c", so path order is a preorder walk
+    // of the span tree.
+    std::map<std::string, SpanTotal> agg;
+    {
+        std::lock_guard<std::mutex> lock(g_records_mu);
+        for (const SpanRecord& r : g_records) {
+            SpanTotal& t = agg[r.path];
+            ++t.count;
+            t.total_ns += r.dur_ns;
+        }
+    }
+    std::vector<SpanTotal> out;
+    out.reserve(agg.size());
+    for (auto& [path, t] : agg) {
+        t.path = path;
+        out.push_back(std::move(t));
+    }
+    return out;
+}
 
-struct PathAgg {
-    std::size_t count = 0;
-    std::uint64_t total_ns = 0;
-};
+double leaf_seconds(const std::vector<SpanTotal>& totals, std::string_view leaf) {
+    std::uint64_t ns = 0;
+    for (const SpanTotal& t : totals) {
+        const std::size_t slash = t.path.rfind('/');
+        if (std::string_view(t.path).substr(
+                slash == std::string::npos ? 0 : slash + 1) == leaf)
+            ns += t.total_ns;
+    }
+    return static_cast<double>(ns) * 1e-9;
+}
 
 std::string format_duration(double ns) {
     char buf[64];
@@ -177,26 +204,18 @@ std::string format_duration(double ns) {
     return buf;
 }
 
-} // namespace
-
 std::string trace_summary() {
-    // Aggregate by full path; std::map keeps "a" < "a/b" < "a/c" so the
-    // sorted order is already a preorder tree walk.
-    std::map<std::string, PathAgg> agg;
-    {
-        std::lock_guard<std::mutex> lock(g_records_mu);
-        for (const SpanRecord& r : g_records) {
-            PathAgg& a = agg[r.path];
-            ++a.count;
-            a.total_ns += r.dur_ns;
-        }
-    }
+    const std::vector<SpanTotal> totals = span_totals();
     std::string out = "trace summary (inclusive wall time):\n";
-    if (agg.empty()) {
+    if (totals.empty()) {
         out += "  (no spans recorded; is PGSI_TRACE set?)\n";
         return out;
     }
-    for (const auto& [path, a] : agg) {
+    const auto by_path = [](const SpanTotal& t, std::string_view p) {
+        return t.path < p;
+    };
+    for (const SpanTotal& a : totals) {
+        const std::string& path = a.path;
         std::size_t depth = 0;
         std::size_t last = 0;
         for (std::size_t i = 0; i < path.size(); ++i)
@@ -207,27 +226,25 @@ std::string trace_summary() {
         // Share of the parent path's inclusive time, when the parent exists.
         double share = -1.0;
         if (depth > 0) {
-            const auto it = agg.find(path.substr(0, last - 1));
-            if (it != agg.end() && it->second.total_ns > 0)
+            const std::string_view parent(path.data(), last - 1);
+            const auto it = std::lower_bound(totals.begin(), totals.end(),
+                                             parent, by_path);
+            if (it != totals.end() && it->path == parent && it->total_ns > 0)
                 share = 100.0 * static_cast<double>(a.total_ns) /
-                        static_cast<double>(it->second.total_ns);
+                        static_cast<double>(it->total_ns);
         }
+        const int width = static_cast<int>(2 * depth < 32 ? 40 - 2 * depth : 8);
         char line[256];
-        if (share >= 0)
-            std::snprintf(line, sizeof line, "  %*s%-*s %10s  x%-6zu %5.1f%%\n",
-                          static_cast<int>(2 * depth), "",
-                          static_cast<int>(40 - 2 * depth > 8 ? 40 - 2 * depth : 8),
-                          path.c_str() + last,
-                          format_duration(static_cast<double>(a.total_ns)).c_str(),
-                          a.count, share);
-        else
-            std::snprintf(line, sizeof line, "  %*s%-*s %10s  x%-6zu\n",
-                          static_cast<int>(2 * depth), "",
-                          static_cast<int>(40 - 2 * depth > 8 ? 40 - 2 * depth : 8),
-                          path.c_str() + last,
-                          format_duration(static_cast<double>(a.total_ns)).c_str(),
-                          a.count);
+        std::snprintf(line, sizeof line, "  %*s%-*s %10s  x%-6zu",
+                      static_cast<int>(2 * depth), "", width, path.c_str() + last,
+                      format_duration(static_cast<double>(a.total_ns)).c_str(),
+                      a.count);
         out += line;
+        if (share >= 0) {
+            std::snprintf(line, sizeof line, " %5.1f%%", share);
+            out += line;
+        }
+        out += '\n';
     }
     return out;
 }
@@ -256,6 +273,17 @@ std::string json_escape(std::string_view s) {
         }
     }
     return out;
+}
+
+std::string json_number(double v) {
+    if (!std::isfinite(v)) return "null";
+    char buf[64];
+    // Magnitude first: the cast to long long is undefined beyond 2^63.
+    if (std::abs(v) < 1e15 && v == std::trunc(v))
+        std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
+    else
+        std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
 }
 
 std::string chrome_trace_json() {

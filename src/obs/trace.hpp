@@ -82,6 +82,26 @@ private:
 /// time, also before tracing is enabled. Never throws.
 void set_thread_name(std::string_view name) noexcept;
 
+/// Completed spans of one path, aggregated.
+struct SpanTotal {
+    std::string path;           ///< full nesting path
+    std::size_t count = 0;      ///< completed spans with this path
+    std::uint64_t total_ns = 0; ///< summed inclusive wall duration
+};
+
+/// Every completed span (any thread) aggregated by full path, in path
+/// order. This is the one per-path aggregation: trace_summary(), the
+/// SolveReport "spans" array and the stage-time readers all use it.
+std::vector<SpanTotal> span_totals();
+
+/// Summed inclusive wall time, in seconds, of the entries of `totals` whose
+/// leaf (last path component) is `leaf`, wherever they nest.
+double leaf_seconds(const std::vector<SpanTotal>& totals, std::string_view leaf);
+
+/// Human-readable duration of `ns` nanoseconds ("12.3 us", "4.567 ms",
+/// "1.234 s").
+std::string format_duration(double ns);
+
 /// Human-readable summary: one line per distinct path with call count,
 /// inclusive wall time, and share of the enclosing span, indented as a tree.
 std::string trace_summary();
@@ -96,6 +116,11 @@ void write_chrome_trace_file(const std::string& path);
 /// Escape a string for embedding in a JSON string literal (exposed for the
 /// exporters and their tests).
 std::string json_escape(std::string_view s);
+
+/// JSON number literal: integral values below 1e15 in magnitude print
+/// without an exponent, others round-trip with 17 significant digits, and
+/// NaN or ±Inf (which JSON cannot represent) print as null.
+std::string json_number(double v);
 
 } // namespace pgsi::obs
 

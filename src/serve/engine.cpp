@@ -24,6 +24,11 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
         .count();
 }
 
+/// Watchdog poll period for deadline detection [s]: the bound on how late
+/// an expired deadline is noticed by a job stuck between cancellation
+/// points.
+constexpr double kWatchdogPeriodS = 2e-3;
+
 /// Mesh nodes the sweep measures at: explicit port locations, else the
 /// driver Vcc pins, else the regulator tie-in.
 std::vector<std::size_t> sweep_port_nodes(const PlaneModel& model,
@@ -285,12 +290,12 @@ BatchResult JobQueue::run(const std::vector<JobSpec>& jobs) {
     // marked expired the moment it reaches the next poll — and so that
     // deadline detection latency is bounded by this period, not by the
     // slowest kernel.
-    std::thread watchdog([&active, period = opt_.watchdog_period_s] {
+    std::thread watchdog([&active] {
         static obs::Counter& c_polls = obs::counter("serve.watchdog.polls");
         std::unique_lock<std::mutex> lock(active->mu);
         while (!active->done) {
             active->cv.wait_for(lock,
-                                std::chrono::duration<double>(period));
+                                std::chrono::duration<double>(kWatchdogPeriodS));
             if (active->done) break;
             for (const auto& token : active->tokens)
                 if (token != nullptr) (void)token->cancelled();

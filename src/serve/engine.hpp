@@ -54,8 +54,6 @@ struct BatchOptions {
     /// journal_path). Their reports come back as JobState::Resumed with the
     /// journaled digest but no payload.
     bool resume = false;
-    /// Watchdog poll period for deadline detection [s].
-    double watchdog_period_s = 2e-3;
     /// Rung-0 recovery options every attempt starts from; retries escalate
     /// from here.
     robust::RecoveryOptions recovery;

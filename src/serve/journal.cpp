@@ -13,33 +13,9 @@
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace pgsi::serve {
-
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-    for (const char ch : s) {
-        switch (ch) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(ch) & 0xff);
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-}
-
-} // namespace
 
 JournalRecord to_journal_record(const JobReport& report) {
     JournalRecord rec;
@@ -81,7 +57,7 @@ Journal::~Journal() {
 
 void Journal::append(const JournalRecord& record) {
     std::string line = "{\"id\":\"";
-    append_escaped(line, record.id);
+    line += obs::json_escape(record.id);
     line += "\",\"state\":\"";
     line += to_string(record.state);
     char buf[160];
@@ -91,7 +67,7 @@ void Journal::append(const JournalRecord& record) {
                   record.attempts, record.cache_hit ? "true" : "false",
                   record.digest, record.summary, record.wall_seconds);
     line += buf;
-    append_escaped(line, record.error);
+    line += obs::json_escape(record.error);
     line += "\"}\n";
 
     const std::lock_guard<std::mutex> lock(mu_);

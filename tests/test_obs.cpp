@@ -6,12 +6,15 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <thread>
 
 #include "circuit/transient.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "io/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "tests/test_util.hpp"
 
@@ -312,6 +315,57 @@ TEST_F(ObsTest, TraceSummaryAggregatesByPath) {
     EXPECT_NE(s.find("x3"), std::string::npos);
 }
 
+TEST_F(ObsTest, WorkerSpansAggregateIntoOnePathEntryEverywhere) {
+    // Spans recorded on pool workers (and the caller's share of the job)
+    // have the same path, so the one aggregation folds them into one entry,
+    // and the summary tree and the SolveReport both show that entry.
+    par::set_thread_count(4);
+    constexpr std::size_t kItems = 64;
+    par::parallel_for(kItems, [](std::size_t) {
+        PGSI_TRACE_SCOPE("pool.item");
+        const auto t0 = std::chrono::steady_clock::now();
+        while (std::chrono::steady_clock::now() - t0 <
+               std::chrono::microseconds(200)) {
+        }
+    });
+
+    const std::vector<obs::SpanRecord> recs = obs::trace_records();
+    ASSERT_EQ(recs.size(), kItems);
+    std::set<std::uint32_t> threads;
+    std::uint64_t sum_ns = 0;
+    for (const obs::SpanRecord& r : recs) {
+        threads.insert(r.thread);
+        sum_ns += r.dur_ns;
+    }
+    EXPECT_GE(threads.size(), 2u);
+
+    const std::vector<obs::SpanTotal> totals = obs::span_totals();
+    ASSERT_EQ(totals.size(), 1u);
+    EXPECT_EQ(totals[0].path, "pool.item");
+    EXPECT_EQ(totals[0].count, kItems);
+    EXPECT_EQ(totals[0].total_ns, sum_ns);
+    EXPECT_DOUBLE_EQ(obs::leaf_seconds(totals, "pool.item"),
+                     static_cast<double>(sum_ns) * 1e-9);
+    EXPECT_EQ(obs::leaf_seconds(totals, "item"), 0.0);
+
+    const std::string summary = obs::trace_summary();
+    EXPECT_NE(summary.find("pool.item"), std::string::npos);
+    EXPECT_NE(summary.find(obs::format_duration(static_cast<double>(sum_ns))),
+              std::string::npos);
+    EXPECT_NE(summary.find("x64"), std::string::npos);
+
+    const JsonValue report =
+        parse_json(obs::SolveReportBuilder("test_obs").build_json());
+    const JsonValue& spans = report.at("spans");
+    ASSERT_EQ(spans.array.size(), 1u);
+    EXPECT_EQ(spans.array[0].str_or("path", ""), "pool.item");
+    EXPECT_EQ(spans.array[0].num_or("count", 0), static_cast<double>(kItems));
+    EXPECT_EQ(spans.array[0].num_or("total_ns", 0),
+              static_cast<double>(sum_ns));
+
+    par::set_thread_count(0);
+}
+
 TEST_F(ObsTest, TransientRunEmitsSpansAndStats) {
     // Simple RC step: linear, so zero Newton iterations and one
     // factorization per integrator (BE on the first step, trapezoidal after).
@@ -339,10 +393,12 @@ TEST_F(ObsTest, TransientRunEmitsSpansAndStats) {
     EXPECT_EQ(r.stats.lti_factorizations, 2u);
     EXPECT_EQ(r.stats.border_dim, 0u);
     EXPECT_EQ(r.stats.lu_solves, r.stats.steps);
-    EXPECT_GT(r.stats.wall_seconds, 0.0);
 
+    // The run's wall time is its transient.run span.
     const auto recs = obs::trace_records();
-    EXPECT_NE(find_span(recs, "transient.run"), nullptr);
+    const obs::SpanRecord* run = find_span(recs, "transient.run");
+    ASSERT_NE(run, nullptr);
+    EXPECT_GT(run->dur_ns, 0u);
     EXPECT_NE(find_span(recs, "transient.run/transient.dcop"), nullptr);
     EXPECT_NE(find_span(recs, "transient.run/transient.factor"), nullptr);
     EXPECT_NE(find_span(recs, "transient.run/transient.lti_setup"), nullptr);

@@ -4,6 +4,7 @@
 // bench_compare perf-regression gate.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
 #include <cstdio>
 #include <filesystem>
@@ -220,6 +221,30 @@ TEST(JsonParser, MetricsJsonIsParseable) {
     const JsonValue& h = v.at("histograms").at("test.report.hist");
     EXPECT_GE(h.num_or("count", 0), 1.0);
     EXPECT_DOUBLE_EQ(h.num_or("max", 0), 5.0);
+}
+
+TEST(JsonParser, NonFiniteAndHugeNumbersStayParseable) {
+    // JSON has no NaN/Inf: both documents must write null there, and a
+    // magnitude past 2^63 must not go through an integer cast.
+    obs::gauge("test.report.nan").set(std::nan(""));
+    obs::gauge("test.report.huge").set(1e300);
+    const JsonValue m = parse_json(obs::metrics_json());
+    EXPECT_TRUE(m.at("gauges").at("test.report.nan").is_null());
+    EXPECT_DOUBLE_EQ(m.at("gauges").num_or("test.report.huge", 0), 1e300);
+    const JsonValue r =
+        parse_json(obs::SolveReportBuilder("test_report").build_json());
+    EXPECT_TRUE(r.at("metrics").at("gauges").at("test.report.nan").is_null());
+    obs::gauge("test.report.nan").set(0);
+    obs::gauge("test.report.huge").set(0);
+}
+
+TEST(JsonParser, NumberWriterKeepsIntegersExact) {
+    EXPECT_EQ(obs::json_number(123456.0), "123456");
+    EXPECT_EQ(obs::json_number(-0.0), "0");
+    EXPECT_EQ(obs::json_number(0.5), "0.5");
+    EXPECT_EQ(obs::json_number(1e15), "1000000000000000");
+    EXPECT_EQ(obs::json_number(-1e19), "-1e+19");
+    EXPECT_EQ(obs::json_number(INFINITY), "null");
 }
 
 TEST_F(ReportTest, SolveReportRoundTripsThroughTheParser) {

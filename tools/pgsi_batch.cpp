@@ -42,7 +42,8 @@ void write_results_json(const std::string& path,
                      "\"attempts\": %d, \"cache_hit\": %s, "
                      "\"digest\": \"%016" PRIx64 "\", \"summary\": %.17g, "
                      "\"wall_s\": %.6f}%s\n",
-                     rep.id.c_str(), serve::to_string(rep.state), rep.attempts,
+                     obs::json_escape(rep.id).c_str(),
+                     serve::to_string(rep.state), rep.attempts,
                      rep.cache_hit ? "true" : "false", rep.digest, rep.summary,
                      rep.wall_seconds,
                      i + 1 < result.reports.size() ? "," : "");
