@@ -77,34 +77,37 @@ AcSolution ac_analyze(const Netlist& nl, double freq_hz) {
     const MnaLayout lay(nl);
     MatrixC m(lay.dim(), lay.dim());
     VectorC b(lay.dim(), Complex{});
+    const auto add = [&m](std::size_t i, std::size_t j, Complex v) {
+        m(i, j) += v;
+    };
 
     for (const Resistor& r : nl.resistors())
-        stamp_conductance(m, lay, r.a, r.b, Complex(1.0 / r.r, 0.0));
+        stamp_conductance(add, lay, r.a, r.b, Complex(1.0 / r.r, 0.0));
 
     if (nl.nonlinear()) {
         const DcSolution dc = dc_operating_point(nl);
         for (const TableConductance& tc : nl.table_conductances()) {
             const double v = dc.v(tc.a) - dc.v(tc.b);
-            stamp_conductance(m, lay, tc.a, tc.b,
+            stamp_conductance(add, lay, tc.a, tc.b,
                               Complex(tc.iv.slope(v), 0.0));
         }
     }
 
     for (const DriverInstance& d : nl.drivers()) {
-        stamp_conductance(m, lay, d.out, d.vcc, Complex(d.params.g_up(0.0), 0.0));
-        stamp_conductance(m, lay, d.out, d.gnd, Complex(d.params.g_dn(0.0), 0.0));
+        stamp_conductance(add, lay, d.out, d.vcc, Complex(d.params.g_up(0.0), 0.0));
+        stamp_conductance(add, lay, d.out, d.gnd, Complex(d.params.g_dn(0.0), 0.0));
         if (d.params.c_out > 0)
-            stamp_conductance(m, lay, d.out, d.gnd, jw * d.params.c_out);
+            stamp_conductance(add, lay, d.out, d.gnd, jw * d.params.c_out);
     }
 
     for (const Capacitor& c : nl.capacitors())
-        stamp_conductance(m, lay, c.a, c.b, jw * c.c);
+        stamp_conductance(add, lay, c.a, c.b, jw * c.c);
 
     // Inductors: V_a - V_b - (R + jωL) I - Σ jωM I_other = 0.
     for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
         const Inductor& l = nl.inductors()[k];
         const std::size_t cur = lay.inductor_current(k);
-        stamp_branch_incidence(m, lay, l.a, l.b, cur);
+        stamp_branch_incidence(add, lay, l.a, l.b, cur);
         m(cur, cur) -= jw * l.l + l.r;
     }
     for (const MutualCoupling& mu : nl.mutuals()) {
@@ -119,7 +122,7 @@ AcSolution ac_analyze(const Netlist& nl, double freq_hz) {
     for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
         const VSource& v = nl.vsources()[k];
         const std::size_t cur = lay.vsource_current(k);
-        stamp_branch_incidence(m, lay, v.a, v.b, cur);
+        stamp_branch_incidence(add, lay, v.a, v.b, cur);
         b[cur] += v.src.ac_phasor();
     }
 

@@ -1,10 +1,11 @@
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
 
 #include "circuit/mna.hpp"
 #include "common/robust.hpp"
-#include "numeric/lu.hpp"
+#include "numeric/sparse_lu.hpp"
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"
 #include "obs/stream.hpp"
@@ -17,19 +18,25 @@ namespace {
 // voltages in `table_v` (Newton companion: g = di/dv, ieq = i(v) - g·v).
 // `gmin` adds a shunt conductance from every node to ground (continuation
 // regularization), `srcscale` scales every independent source (source
-// ramping); gmin = 0, srcscale = 1 is the physical system.
+// ramping); gmin = 0, srcscale = 1 is the physical system. The shunt is
+// stamped even at gmin = 0, so every solve of a netlist has one pattern and
+// `lu` keeps the ordering its first factor computed.
 VectorD dc_solve_linearized(const Netlist& nl, const MnaLayout& lay,
+                            std::optional<SparseLu>& lu,
                             const VectorD& table_v, double gmin,
                             double srcscale) {
-    MatrixD m(lay.dim(), lay.dim());
+    std::vector<SparseEntry> entries;
+    const auto add = [&](std::size_t i, std::size_t j, double v) {
+        entries.push_back({i, j, v});
+    };
     VectorD b(lay.dim(), 0.0);
 
     for (const Resistor& r : nl.resistors())
-        stamp_conductance(m, lay, r.a, r.b, 1.0 / r.r);
+        stamp_conductance(add, lay, r.a, r.b, 1.0 / r.r);
 
     for (const DriverInstance& d : nl.drivers()) {
-        stamp_conductance(m, lay, d.out, d.vcc, d.params.g_up(0.0));
-        stamp_conductance(m, lay, d.out, d.gnd, d.params.g_dn(0.0));
+        stamp_conductance(add, lay, d.out, d.vcc, d.params.g_up(0.0));
+        stamp_conductance(add, lay, d.out, d.gnd, d.params.g_dn(0.0));
     }
 
     for (std::size_t k = 0; k < nl.table_conductances().size(); ++k) {
@@ -37,7 +44,7 @@ VectorD dc_solve_linearized(const Netlist& nl, const MnaLayout& lay,
         const double v = table_v[k];
         const double g = tc.iv.slope(v);
         const double ieq = tc.iv(v) - g * v;
-        stamp_conductance(m, lay, tc.a, tc.b, g);
+        stamp_conductance(add, lay, tc.a, tc.b, g);
         stamp_current(b, lay, tc.a, -ieq);
         stamp_current(b, lay, tc.b, +ieq);
     }
@@ -56,15 +63,15 @@ VectorD dc_solve_linearized(const Netlist& nl, const MnaLayout& lay,
     for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
         const Inductor& l = nl.inductors()[k];
         const std::size_t cur = lay.inductor_current(k);
-        stamp_branch_incidence(m, lay, l.a, l.b, cur);
-        m(cur, cur) -= (l.r > 0 ? l.r : l.l * kDcLoopRegPerSecond);
+        stamp_branch_incidence(add, lay, l.a, l.b, cur);
+        add(cur, cur, -(l.r > 0 ? l.r : l.l * kDcLoopRegPerSecond));
     }
 
     // Voltage sources: branch equation V_a - V_b = value.
     for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
         const VSource& v = nl.vsources()[k];
         const std::size_t cur = lay.vsource_current(k);
-        stamp_branch_incidence(m, lay, v.a, v.b, cur);
+        stamp_branch_incidence(add, lay, v.a, v.b, cur);
         b[cur] += srcscale * v.src.dc_value();
     }
 
@@ -77,23 +84,26 @@ VectorD dc_solve_linearized(const Netlist& nl, const MnaLayout& lay,
 
     for (const TlineInstance& t : nl.tlines())
         for (std::size_t c = 0; c < t.near.size(); ++c)
-            stamp_conductance(m, lay, t.near[c], t.far[c], kTlineDcShort);
+            stamp_conductance(add, lay, t.near[c], t.far[c], kTlineDcShort);
 
-    if (gmin > 0)
-        for (NodeId n = 1; n < nl.node_count(); ++n) {
-            const std::size_t i = lay.node(n);
-            if (i != MnaLayout::npos) m(i, i) += gmin;
-        }
+    for (NodeId n = 1; n < nl.node_count(); ++n)
+        add(lay.node(n), lay.node(n), gmin);
 
-    return Lu<double>(std::move(m)).solve(b);
+    const CscMatrix m = CscMatrix::from_entries(lay.dim(), entries);
+    if (lu)
+        lu->refactor(m);
+    else
+        lu.emplace(m);
+    return lu->solve(b);
 }
 
 // The damped Newton relaxation over the table elements at one continuation
 // point. `table_v` carries the linearization state in and out (warm start
 // between continuation levels). Throws NumericalError on non-convergence,
 // singular factorization, or non-finite arithmetic.
-VectorD dc_newton(const Netlist& nl, const MnaLayout& lay, VectorD& table_v,
-                  double gmin, double srcscale) {
+VectorD dc_newton(const Netlist& nl, const MnaLayout& lay,
+                  std::optional<SparseLu>& lu, VectorD& table_v, double gmin,
+                  double srcscale) {
     if (robust::FaultInjector::should_fire("dcop.diverge"))
         throw NumericalError(
             "dc_operating_point: Newton iteration did not converge "
@@ -109,7 +119,7 @@ VectorD dc_newton(const Netlist& nl, const MnaLayout& lay, VectorD& table_v,
     VectorD x;
     constexpr int kMaxNewton = 60;
     for (int iter = 0;; ++iter) {
-        x = dc_solve_linearized(nl, lay, table_v, gmin, srcscale);
+        x = dc_solve_linearized(nl, lay, lu, table_v, gmin, srcscale);
         robust::require_finite(x, "dc operating point solution");
         if (ntab == 0) break;
         auto node_v = [&](NodeId n) {
@@ -213,11 +223,12 @@ DcSolution dc_operating_point(const Netlist& nl,
     // gmin stepping it no longer needs.
     if (opt.cancel != nullptr) opt.cancel->poll("dcop.solve");
     const MnaLayout lay(nl);
+    std::optional<SparseLu> lu; // one ordering for every solve below
     const std::size_t ntab = nl.table_conductances().size();
     VectorD table_v(ntab, 0.0);
     VectorD x;
     try {
-        x = dc_newton(nl, lay, table_v, 0.0, 1.0);
+        x = dc_newton(nl, lay, lu, table_v, 0.0, 1.0);
         return pack_solution(nl, lay, x);
     } catch (const NumericalError&) {
         // Structural diagnosis first: a loop of zero-impedance inductors is
@@ -246,9 +257,9 @@ DcSolution dc_operating_point(const Netlist& nl,
         try {
             for (int s = 0; s < opt.gmin_steps; ++s, gmin *= 0.1) {
                 if (opt.cancel != nullptr) opt.cancel->poll("dcop.gmin");
-                x = dc_newton(nl, lay, table_v, gmin, 1.0);
+                x = dc_newton(nl, lay, lu, table_v, gmin, 1.0);
             }
-            x = dc_newton(nl, lay, table_v, 0.0, 1.0);
+            x = dc_newton(nl, lay, lu, table_v, 0.0, 1.0);
         } catch (const NumericalError&) {
             ok = false;
         }
@@ -271,7 +282,7 @@ DcSolution dc_operating_point(const Netlist& nl,
         try {
             for (int s = 1; s <= opt.source_steps; ++s) {
                 if (opt.cancel != nullptr) opt.cancel->poll("dcop.source_ramp");
-                x = dc_newton(nl, lay, table_v, 0.0,
+                x = dc_newton(nl, lay, lu, table_v, 0.0,
                               static_cast<double>(s) /
                                   static_cast<double>(opt.source_steps));
             }
@@ -292,7 +303,7 @@ DcSolution dc_operating_point(const Netlist& nl,
     // the recovery attempts recorded in the context chain.
     try {
         table_v.assign(ntab, 0.0);
-        x = dc_newton(nl, lay, table_v, 0.0, 1.0);
+        x = dc_newton(nl, lay, lu, table_v, 0.0, 1.0);
     } catch (NumericalError& e) {
         e.with_context(
             "after gmin stepping and source ramping both failed to recover");

@@ -45,17 +45,21 @@ private:
     std::size_t nn_ = 0, nl_ = 0, dim_ = 0;
 };
 
+// The stamp helpers write through a sink, add(i, j, v) adding v to entry
+// (i, j), so the dense AC matrix and the sparse DC / transient assemblies
+// share one stamp path.
+
 /// Stamp a conductance g between nodes a and b of the netlist (ground rows
 /// and columns are skipped).
-template <class T>
-void stamp_conductance(Matrix<T>& m, const MnaLayout& lay, NodeId a, NodeId b,
+template <class Add, class T>
+void stamp_conductance(Add&& add, const MnaLayout& lay, NodeId a, NodeId b,
                        T g) {
     const std::size_t ia = lay.node(a), ib = lay.node(b);
-    if (ia != MnaLayout::npos) m(ia, ia) += g;
-    if (ib != MnaLayout::npos) m(ib, ib) += g;
+    if (ia != MnaLayout::npos) add(ia, ia, g);
+    if (ib != MnaLayout::npos) add(ib, ib, g);
     if (ia != MnaLayout::npos && ib != MnaLayout::npos) {
-        m(ia, ib) -= g;
-        m(ib, ia) -= g;
+        add(ia, ib, -g);
+        add(ib, ia, -g);
     }
 }
 
@@ -69,17 +73,17 @@ void stamp_current(std::vector<T>& rhs, const MnaLayout& lay, NodeId a, T i) {
 /// Couple a branch-current unknown at column `cur` into the KCL rows of its
 /// terminal nodes (+ at a, − at b: positive branch current flows a → b) and
 /// write the matching ±1 voltage coefficients into the branch equation row.
-template <class T>
-void stamp_branch_incidence(Matrix<T>& m, const MnaLayout& lay, NodeId a,
+template <class Add>
+void stamp_branch_incidence(Add&& add, const MnaLayout& lay, NodeId a,
                             NodeId b, std::size_t cur) {
     const std::size_t ia = lay.node(a), ib = lay.node(b);
     if (ia != MnaLayout::npos) {
-        m(ia, cur) += T{1};
-        m(cur, ia) += T{1};
+        add(ia, cur, 1.0);
+        add(cur, ia, 1.0);
     }
     if (ib != MnaLayout::npos) {
-        m(ib, cur) -= T{1};
-        m(cur, ib) -= T{1};
+        add(ib, cur, -1.0);
+        add(cur, ib, -1.0);
     }
 }
 

@@ -1,10 +1,13 @@
 #include "circuit/transient.hpp"
 
 #include <cmath>
+#include <map>
+#include <optional>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/robust.hpp"
-#include "numeric/lu.hpp"
+#include "numeric/sparse_lu.hpp"
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"
 #include "obs/stream.hpp"
@@ -55,25 +58,24 @@ struct TransientStepper::Impl {
     MnaLayout lay;
 
     std::vector<CapState> caps;
-    MatrixD lfull; // inductor coupling matrix (self + mutual)
+    // Inductor coupling by rows: (j, L_kj) for inductor k's self term and
+    // every mutual, ascending in j.
+    std::vector<std::vector<std::pair<std::size_t, double>>> lcoup;
     std::vector<std::unique_ptr<TlineState>> tstates;
     VectorD ind_i_prev, ind_v_prev;
     VectorD driver_gu, driver_gd;
     VectorD table_v;       // table linearization voltages (per element)
     VectorD table_g_last;  // conductances stamped in the current factor
 
-    // Border/interior split of the MNA unknowns, fixed at construction (both
-    // lists ascending). border_pos maps an MNA index to its position in
-    // `border`, or npos for an interior unknown.
-    std::vector<std::size_t> border, interior, border_pos;
-    // Time-invariant core of one (dt, integrator): the A_II factor (null when
-    // the interior is empty), X = A_II⁻¹·A_IB, A_BI and S₀ = A_BB − A_BI·X.
-    std::unique_ptr<Lu<double>> lu_ii;
-    MatrixD x_ib, a_bi, s0;
+    // The MNA matrix on its fixed pattern (every stamp position, drivers and
+    // tables included), the time-invariant values of (dt, core_method), and
+    // the sparse factor of the latest full matrix. The factor's ordering is
+    // computed once, by its first factorization.
+    CscMatrix a;
+    VectorD lti_values;
     Integrator core_method = Integrator::BackwardEuler;
     bool core_valid = false;
-    // Factor of the border Schur complement S = S₀ + driver/table stamps.
-    std::unique_ptr<Lu<double>> lu_s;
+    std::optional<SparseLu> lu;
     bool lu_valid = false;
 
     std::size_t step_count = 0;
@@ -106,14 +108,17 @@ struct TransientStepper::Impl {
                 caps.push_back({d.out, d.gnd, d.params.c_out, 0, 0});
 
         const std::size_t ni = nl.inductors().size();
-        lfull = MatrixD(ni, ni);
-        for (std::size_t k = 0; k < ni; ++k) lfull(k, k) = nl.inductors()[k].l;
+        std::vector<std::map<std::size_t, double>> coupling(ni);
+        for (std::size_t k = 0; k < ni; ++k)
+            coupling[k][k] = nl.inductors()[k].l;
         for (const MutualCoupling& mu : nl.mutuals()) {
             const double m = mu.k * std::sqrt(std::abs(nl.inductors()[mu.l1].l) *
                                               std::abs(nl.inductors()[mu.l2].l));
-            lfull(mu.l1, mu.l2) += m;
-            lfull(mu.l2, mu.l1) += m;
+            coupling[mu.l1][mu.l2] += m;
+            coupling[mu.l2][mu.l1] += m;
         }
+        for (const auto& row : coupling)
+            lcoup.emplace_back(row.begin(), row.end());
         ind_i_prev.assign(ni, 0.0);
         ind_v_prev.assign(ni, 0.0);
         driver_gu.assign(nl.drivers().size(), -1.0);
@@ -121,69 +126,7 @@ struct TransientStepper::Impl {
         table_v.assign(nl.table_conductances().size(), 0.0);
         table_g_last.assign(nl.table_conductances().size(), -1.0);
 
-        partition();
         initialize_dc();
-    }
-
-    // Split the unknowns into the border B (everything a driver or table
-    // conductance stamps) and the time-invariant interior I.
-    void partition() {
-        std::vector<bool> in_b(lay.dim(), false);
-        const auto mark = [&](NodeId n) {
-            if (lay.node(n) != MnaLayout::npos) in_b[lay.node(n)] = true;
-        };
-        for (const DriverInstance& d : nl.drivers()) {
-            mark(d.out);
-            mark(d.vcc);
-            mark(d.gnd);
-        }
-        for (const TableConductance& tc : nl.table_conductances()) {
-            mark(tc.a);
-            mark(tc.b);
-        }
-        // A zero-impedance branch (a voltage source, or an inductor with
-        // L = R = 0) has node-voltage terms only in its branch row. Once a
-        // terminal is in B, that row loses a column in A_II, and a chain of
-        // such branches through an interior node (Vdd → n1 → Vsense → vcc)
-        // leaves dependent rows. So close B under these branches: a branch
-        // touching B brings its current and its other terminal into B.
-        struct Branch {
-            NodeId a, b;
-            std::size_t cur;
-        };
-        std::vector<Branch> zero_z;
-        for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
-            const Inductor& l = nl.inductors()[k];
-            if (l.l == 0.0 && l.r == 0.0)
-                zero_z.push_back({l.a, l.b, lay.inductor_current(k)});
-        }
-        for (std::size_t k = 0; k < nl.vsources().size(); ++k)
-            zero_z.push_back({nl.vsources()[k].a, nl.vsources()[k].b,
-                              lay.vsource_current(k)});
-        const auto on_border = [&](NodeId n) {
-            return lay.node(n) != MnaLayout::npos && in_b[lay.node(n)];
-        };
-        for (bool grew = true; grew;) {
-            grew = false;
-            for (const Branch& br : zero_z) {
-                if (in_b[br.cur] || !(on_border(br.a) || on_border(br.b)))
-                    continue;
-                in_b[br.cur] = true;
-                mark(br.a);
-                mark(br.b);
-                grew = true;
-            }
-        }
-        border_pos.assign(lay.dim(), MnaLayout::npos);
-        for (std::size_t i = 0; i < lay.dim(); ++i) {
-            if (!in_b[i]) {
-                interior.push_back(i);
-                continue;
-            }
-            border_pos[i] = border.size();
-            border.push_back(i);
-        }
-        stats.border_dim = border.size();
     }
 
     void initialize_dc() {
@@ -228,30 +171,28 @@ struct TransientStepper::Impl {
         return m == Integrator::Trapezoidal ? 2.0 / dt : 1.0 / dt;
     }
 
-    // The time-invariant MNA matrix of integrator m: everything but the
-    // driver and table conductances.
-    MatrixD base_matrix(Integrator m) const {
+    // Stamp the time-invariant MNA matrix of integrator m: everything but
+    // the driver and table conductances.
+    template <class Add>
+    void stamp_lti(Add&& add, Integrator m) const {
         const double s = companion_scale(m);
-        MatrixD base(lay.dim(), lay.dim());
-
         for (const Resistor& r : nl.resistors())
-            stamp_conductance(base, lay, r.a, r.b, 1.0 / r.r);
+            stamp_conductance(add, lay, r.a, r.b, 1.0 / r.r);
         for (const CapState& c : caps)
-            stamp_conductance(base, lay, c.a, c.b, s * c.c);
+            stamp_conductance(add, lay, c.a, c.b, s * c.c);
 
         for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
             const Inductor& l = nl.inductors()[k];
             const std::size_t cur = lay.inductor_current(k);
-            stamp_branch_incidence(base, lay, l.a, l.b, cur);
-            base(cur, cur) -= l.r;
-            for (std::size_t j = 0; j < nl.inductors().size(); ++j)
-                if (lfull(k, j) != 0.0)
-                    base(cur, lay.inductor_current(j)) -= s * lfull(k, j);
+            stamp_branch_incidence(add, lay, l.a, l.b, cur);
+            add(cur, cur, -l.r);
+            for (const auto& [j, lkj] : lcoup[k])
+                add(cur, lay.inductor_current(j), -(s * lkj));
         }
 
         for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
             const VSource& v = nl.vsources()[k];
-            stamp_branch_incidence(base, lay, v.a, v.b, lay.vsource_current(k));
+            stamp_branch_incidence(add, lay, v.a, v.b, lay.vsource_current(k));
         }
 
         for (const TlineInstance& t : nl.tlines()) {
@@ -265,71 +206,57 @@ struct TransientStepper::Impl {
                         const std::size_t rj = lay.node(nodes[j]);
                         const std::size_t ck = lay.node(nodes[k]);
                         if (rj != MnaLayout::npos && ck != MnaLayout::npos)
-                            base(rj, ck) += g;
+                            add(rj, ck, g);
                         if (rj != MnaLayout::npos && rr != MnaLayout::npos)
-                            base(rj, rr) -= g;
+                            add(rj, rr, -g);
                         if (rr != MnaLayout::npos && ck != MnaLayout::npos)
-                            base(rr, ck) -= g;
-                        if (rr != MnaLayout::npos) base(rr, rr) += g;
+                            add(rr, ck, -g);
+                        if (rr != MnaLayout::npos) add(rr, rr, g);
                     }
             };
             stamp_end(t.near, t.near_ref);
             stamp_end(t.far, t.far_ref);
         }
-        return base;
     }
 
-    // Count a factorization and spot-check its conditioning: the estimator
-    // costs a handful of O(n²) solves, so sample the first factor and every
-    // 64th thereafter rather than every driver-edge refactorization.
-    void note_factorization(const Lu<double>& f, const char* what) {
-        ++stats.lu_factorizations;
-        if (stats.lu_factorizations == 1 || stats.lu_factorizations % 64 == 0)
-            robust::check_condition(f.condition_estimate(), what, ropt, &report);
+    // Stamp the driver conductances at their current values and the table
+    // conductances `table_g`.
+    template <class Add>
+    void stamp_switching(Add&& add, const VectorD& table_g) const {
+        for (std::size_t d = 0; d < nl.drivers().size(); ++d) {
+            const DriverInstance& dr = nl.drivers()[d];
+            stamp_conductance(add, lay, dr.out, dr.vcc, driver_gu[d]);
+            stamp_conductance(add, lay, dr.out, dr.gnd, driver_gd[d]);
+        }
+        for (std::size_t k = 0; k < table_g.size(); ++k) {
+            const TableConductance& tc = nl.table_conductances()[k];
+            stamp_conductance(add, lay, tc.a, tc.b, table_g[k]);
+        }
     }
 
-    // Factor the time-invariant core of integrator m: A_II once, then
-    // X = A_II⁻¹·A_IB and S₀ = A_BB − A_BI·X.
+    // Assemble the time-invariant values of integrator m. Driver and table
+    // positions join the pattern with zero values; refresh_factor adds their
+    // conductances.
     void build_core(Integrator m) {
         PGSI_TRACE_SCOPE("transient.lti_setup");
         core_valid = false;
         lu_valid = false;
-        const MatrixD base = base_matrix(m);
-        s0 = base.submatrix(border, border);
-        lu_ii.reset();
-        if (!interior.empty()) {
-            lu_ii = std::make_unique<Lu<double>>(
-                base.submatrix(interior, interior));
-            ++stats.lti_factorizations;
-            note_factorization(*lu_ii, "transient MNA interior block");
-            if (!border.empty()) {
-                a_bi = base.submatrix(border, interior);
-                x_ib = lu_ii->solve(base.submatrix(interior, border));
-                s0 -= a_bi * x_ib;
-            }
-        }
+        std::vector<SparseEntry> entries;
+        stamp_lti([&](std::size_t i, std::size_t j,
+                      double v) { entries.push_back({i, j, v}); },
+                  m);
+        stamp_switching([&](std::size_t i, std::size_t j,
+                            double) { entries.push_back({i, j, 0.0}); },
+                        table_g_last);
+        a = CscMatrix::from_entries(lay.dim(), entries);
+        lti_values = a.values;
         core_method = m;
         core_valid = true;
     }
 
-    // Border position of a node voltage (npos for ground).
-    std::size_t border_node(NodeId n) const {
-        return n == 0 ? MnaLayout::npos : border_pos[lay.node(n)];
-    }
-
-    void stamp_border(MatrixD& s, NodeId a, NodeId b, double g) const {
-        const std::size_t ia = border_node(a), ib = border_node(b);
-        if (ia != MnaLayout::npos) s(ia, ia) += g;
-        if (ib != MnaLayout::npos) s(ib, ib) += g;
-        if (ia != MnaLayout::npos && ib != MnaLayout::npos) {
-            s(ia, ib) -= g;
-            s(ib, ia) -= g;
-        }
-    }
-
-    // Bring the factors up to date for integrator m at time t: the core on a
-    // (dt, integrator) change, the k×k Schur complement whenever a driver or
-    // table conductance moves.
+    // Bring the factor up to date for integrator m at time t: reassemble the
+    // time-invariant values on a (dt, integrator) change, and refactor the
+    // whole matrix whenever that or a driver or table conductance moves.
     void refresh_factor(Integrator m, double t, const VectorD& table_g) {
         bool drivers_moved = false;
         for (std::size_t d = 0; d < nl.drivers().size(); ++d) {
@@ -351,46 +278,24 @@ struct TransientStepper::Impl {
         if (core_current && lu_valid && !drivers_moved && !tables_moved) return;
         if (!core_current) build_core(m);
         PGSI_TRACE_SCOPE("transient.factor");
-        if (!border.empty()) {
-            MatrixD s = s0;
-            for (std::size_t d = 0; d < nl.drivers().size(); ++d) {
-                const DriverInstance& dr = nl.drivers()[d];
-                stamp_border(s, dr.out, dr.vcc, driver_gu[d]);
-                stamp_border(s, dr.out, dr.gnd, driver_gd[d]);
-            }
-            for (std::size_t k = 0; k < table_g.size(); ++k) {
-                const TableConductance& tc = nl.table_conductances()[k];
-                stamp_border(s, tc.a, tc.b, table_g[k]);
-            }
-            lu_s = std::make_unique<Lu<double>>(std::move(s));
-            note_factorization(*lu_s, "transient MNA border Schur complement");
-        }
+        lu_valid = false;
+        a.values = lti_values;
+        stamp_switching([&](std::size_t i, std::size_t j,
+                            double v) { a.add(i, j, v); },
+                        table_g);
+        if (lu)
+            lu->refactor(a);
+        else
+            lu.emplace(a);
+        ++stats.lu_factorizations;
+        stats.factor_flops += lu->flops();
+        stats.lu_nnz = lu->nnz();
+        // The estimator costs a handful of solves, so spot-check the first
+        // factor and every 64th thereafter rather than every refactor.
+        if (stats.lu_factorizations == 1 || stats.lu_factorizations % 64 == 0)
+            robust::check_condition(lu->condition_estimate(),
+                                    "transient MNA matrix", ropt, &report);
         lu_valid = true;
-    }
-
-    // Solve the MNA system through the split: y = A_II⁻¹·b_I,
-    // z = S⁻¹·(b_B − A_BI·y), x_I = y − X·z.
-    VectorD solve(const VectorD& b) const {
-        VectorD sol(lay.dim());
-        VectorD y(interior.size());
-        for (std::size_t i = 0; i < interior.size(); ++i) y[i] = b[interior[i]];
-        if (lu_ii) y = lu_ii->solve(y);
-        if (!border.empty()) {
-            VectorD r(border.size());
-            for (std::size_t j = 0; j < border.size(); ++j) r[j] = b[border[j]];
-            if (lu_ii) {
-                const VectorD ay = a_bi * y;
-                for (std::size_t j = 0; j < border.size(); ++j) r[j] -= ay[j];
-            }
-            const VectorD z = lu_s->solve(r);
-            if (lu_ii) {
-                const VectorD xz = x_ib * z;
-                for (std::size_t i = 0; i < interior.size(); ++i) y[i] -= xz[i];
-            }
-            for (std::size_t j = 0; j < border.size(); ++j) sol[border[j]] = z[j];
-        }
-        for (std::size_t i = 0; i < interior.size(); ++i) sol[interior[i]] = y[i];
-        return sol;
     }
 
     double node_v(const VectorD& sol, NodeId n) const {
@@ -574,8 +479,7 @@ struct TransientStepper::Impl {
 
         for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
             double acc = 0;
-            for (std::size_t j = 0; j < nl.inductors().size(); ++j)
-                if (lfull(k, j) != 0.0) acc += lfull(k, j) * ind_i_prev[j];
+            for (const auto& [j, lkj] : lcoup[k]) acc += lkj * ind_i_prev[j];
             double r = -s * acc;
             if (trap) r -= ind_v_prev[k];
             rhs[lay.inductor_current(k)] += r;
@@ -619,7 +523,7 @@ struct TransientStepper::Impl {
                 stamp_current(rhs_nl, lay, tc.b, +ieq);
             }
             refresh_factor(m, t, table_g);
-            x = solve(rhs_nl);
+            x = lu->solve(rhs_nl);
             ++stats.lu_solves;
             if (!robust::all_finite(x)) {
                 static obs::Counter& c_nonfinite =

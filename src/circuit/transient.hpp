@@ -5,20 +5,15 @@
 // first-order (backward Euler) and second-order (trapezoidal) integration —
 // the two methods the paper cites for stability and accuracy.
 //
-// The MNA unknowns are split once, at construction, into a border B and an
-// interior I. B holds every node a behavioral driver (out, vcc, gnd) or a
-// table conductance (a, b) stamps. B is then closed under zero-impedance
-// branches (voltage sources and L = R = 0 inductors): a branch with a
-// terminal in B brings its current and its other terminal into B, until
-// nothing changes. Otherwise its branch row, which has node-voltage terms
-// only, would vanish from A_II or, for a chain through an interior node
-// (Vdd → n1 → Vsense → vcc), leave A_II singular. Everything else is the
-// time-invariant RLC network. For each (dt, integrator) pair the stepper factors A_II once
-// and keeps X = A_II⁻¹·A_IB, A_BI and S₀ = A_BB − A_BI·X. When a driver or
-// table conductance moves, only the k×k Schur complement S = S₀ + stamps is
-// refactored; a solve is y = A_II⁻¹·b_I, z = S⁻¹·(b_B − A_BI·y),
-// x_I = y − X·z. A netlist without drivers or tables has an empty border and
-// is factored exactly once per (dt, integrator).
+// The whole MNA matrix is factored by one sparse LU (numeric/sparse_lu.hpp).
+// Its pattern is fixed by the netlist, so the fill-reducing ordering is
+// computed once per stepper. For each (dt, integrator) pair the stepper
+// assembles the time-invariant values (span transient.lti_setup); when a
+// driver or table conductance moves it adds those few stamps to a copy of
+// them and runs one numeric refactor on the same ordering (span
+// transient.factor). A step is then one sparse forward/back solve, O(nnz of
+// the factor). A netlist without drivers or tables is factored exactly once
+// per (dt, integrator).
 //
 // The engine is exposed both as a one-shot analysis (transient_analyze) and
 // as a resumable TransientStepper. The stepper reads source values from the
@@ -59,10 +54,10 @@ struct TransientStats {
     std::size_t newton_iterations = 0; ///< Newton passes over table elements
     std::size_t step_rejections = 0;   ///< trapezoidal steps redone with BE
     std::size_t timestep_cuts = 0;     ///< steps re-advanced with a cut dt
-    std::size_t lu_factorizations = 0; ///< every LU (interior + border)
-    std::size_t lti_factorizations = 0; ///< interior (A_II) factorizations
+    std::size_t lu_factorizations = 0; ///< numeric factors of the MNA matrix
     std::size_t lu_solves = 0;         ///< MNA system solves
-    std::size_t border_dim = 0;        ///< k: unknowns in the border block
+    std::size_t lu_nnz = 0;            ///< nnz(L) + nnz(U) of the latest factor
+    std::size_t factor_flops = 0;      ///< multiply-adds of all numeric factors
 };
 
 /// Recorded waveforms of a transient run.

@@ -1,9 +1,9 @@
 // LU factorization with partial pivoting for dense real/complex systems.
 //
 // The factorization is stored so it can be reused across many right-hand
-// sides — the transient circuit solver (§5.1) factors its constant interior
-// MNA block once, refactors the small driver border on each conductance
-// change, and back-substitutes through both every time step.
+// sides. It serves the matrices that really are dense: BEM extraction,
+// transmission-line and S-parameter blocks, and the complex AC solve. The
+// sparse DC and transient MNA systems use SparseLu (numeric/sparse_lu.hpp).
 #pragma once
 
 #include "numeric/matrix.hpp"

@@ -369,8 +369,6 @@ TEST_F(ObsTest, WorkerSpansAggregateIntoOnePathEntryEverywhere) {
 TEST_F(ObsTest, TransientRunEmitsSpansAndStats) {
     // Simple RC step: linear, so zero Newton iterations and one
     // factorization per integrator (BE on the first step, trapezoidal after).
-    // Without drivers or tables the border is empty and each of those is
-    // the whole-matrix interior factor.
     Netlist nl;
     const NodeId in = nl.node("in");
     const NodeId out = nl.node("out");
@@ -390,8 +388,12 @@ TEST_F(ObsTest, TransientRunEmitsSpansAndStats) {
     EXPECT_EQ(r.stats.newton_iterations, 0u);
     EXPECT_EQ(r.stats.step_rejections, 0u);
     EXPECT_EQ(r.stats.lu_factorizations, 2u);
-    EXPECT_EQ(r.stats.lti_factorizations, 2u);
-    EXPECT_EQ(r.stats.border_dim, 0u);
+    // Unknowns V(in), V(out), I(V1); the minimum-degree order is V(out),
+    // V(in), I(V1). V(in)'s column takes the V1 branch row as pivot (its
+    // diagonal G·sC/(G + sC) ≈ 1e-3 is below 0.1 of the branch row's 1), so
+    // L holds 2 entries and U 4, and each factor runs one multiply-add.
+    EXPECT_EQ(r.stats.lu_nnz, 6u);
+    EXPECT_EQ(r.stats.factor_flops, 2u);
     EXPECT_EQ(r.stats.lu_solves, r.stats.steps);
 
     // The run's wall time is its transient.run span.

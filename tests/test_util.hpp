@@ -48,6 +48,77 @@ inline Netlist diode_clamp_netlist() {
     return nl;
 }
 
+// Two drivers on a package-fed supply. Both terminals of Vsense (out, clamp)
+// and of the zero-impedance jumper Ljmp (vcc, vcc2) are driver or table
+// nodes, and both branch rows have zero diagonals, so the factor must pivot.
+inline Netlist border_vsource_netlist() {
+    Netlist nl;
+    const NodeId vdd = nl.node("vdd");
+    const NodeId vcc = nl.node("vcc");
+    const NodeId vcc2 = nl.node("vcc2");
+    const NodeId out = nl.node("out");
+    const NodeId out2 = nl.node("out2");
+    const NodeId clamp = nl.node("clamp");
+    nl.add_vsource("Vdd", vdd, nl.ground(), Source::dc(3.3));
+    nl.add_inductor("Lpkg", vdd, vcc, 2e-9, 0.1);
+    nl.add_capacitor("Cdie", vcc, nl.ground(), 50e-12);
+    nl.add_inductor("Ljmp", vcc, vcc2, 0.0);
+    DriverParams p1;
+    p1.input = Source::pulse(0.0, 1.0, 0.5e-9, 0.3e-9, 0.3e-9, 1.5e-9);
+    p1.c_out = 2e-12;
+    nl.add_driver("D1", out, vcc, nl.ground(), p1);
+    DriverParams p2 = p1;
+    p2.input = Source::pulse(1.0, 0.0, 0.8e-9, 0.3e-9, 0.3e-9, 1.5e-9);
+    nl.add_driver("D2", out2, vcc2, nl.ground(), p2);
+    nl.add_capacitor("Cload", out, nl.ground(), 10e-12);
+    nl.add_resistor("Rload2", out2, nl.ground(), 100.0);
+    nl.add_vsource("Vsense", out, clamp, Source::dc(0.0));
+    VectorD v, i;
+    for (double x = -1.0; x <= 3.0; x += 0.25) {
+        v.push_back(x);
+        i.push_back(0.0);
+    }
+    for (double x = 3.25; x <= 6.0; x += 0.25) {
+        v.push_back(x);
+        i.push_back((x - 3.0) * 0.05);
+    }
+    nl.add_table_conductance("Dclamp", clamp, nl.ground(), std::move(v),
+                             std::move(i));
+    return nl;
+}
+
+// Two drivers fed from ideal supplies through zero-impedance chains that run
+// through a node no driver touches: Vdd (gnd → n1) then a 0 V ammeter
+// Vsense (n1 → vcc), and Vdd2 (gnd → n2) then a jumper Ljmp with L = R = 0
+// (n2 → vcc2). Every branch row of the chains has a zero diagonal.
+inline Netlist supply_chain_netlist() {
+    Netlist nl;
+    const NodeId n1 = nl.node("n1");
+    const NodeId vcc = nl.node("vcc");
+    const NodeId n2 = nl.node("n2");
+    const NodeId vcc2 = nl.node("vcc2");
+    const NodeId out = nl.node("out");
+    const NodeId out2 = nl.node("out2");
+    const NodeId far = nl.node("far");
+    const NodeId far2 = nl.node("far2");
+    nl.add_vsource("Vdd", n1, nl.ground(), Source::dc(3.3));
+    nl.add_vsource("Vsense", n1, vcc, Source::dc(0.0));
+    nl.add_vsource("Vdd2", n2, nl.ground(), Source::dc(2.5));
+    nl.add_inductor("Ljmp", n2, vcc2, 0.0);
+    DriverParams p1;
+    p1.input = Source::pulse(0.0, 1.0, 0.5e-9, 0.3e-9, 0.3e-9, 1.5e-9);
+    p1.c_out = 2e-12;
+    nl.add_driver("D1", out, vcc, nl.ground(), p1);
+    DriverParams p2 = p1;
+    p2.input = Source::pulse(1.0, 0.0, 0.8e-9, 0.3e-9, 0.3e-9, 1.5e-9);
+    nl.add_driver("D2", out2, vcc2, nl.ground(), p2);
+    nl.add_resistor("Rs", out, far, 25.0);
+    nl.add_capacitor("Cfar", far, nl.ground(), 5e-12);
+    nl.add_resistor("Rs2", out2, far2, 50.0);
+    nl.add_capacitor("Cfar2", far2, nl.ground(), 3e-12);
+    return nl;
+}
+
 // Reduced SSN model settings that keep a board's extraction to milliseconds.
 inline SsnModelOptions coarse_ssn() {
     SsnModelOptions o;

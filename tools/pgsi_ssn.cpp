@@ -106,11 +106,10 @@ int main(int argc, char** argv) {
                                 static_cast<double>(r.stats.step_rejections));
                 rep->add_number("transient", "lu_factorizations",
                                 static_cast<double>(r.stats.lu_factorizations));
-                rep->add_number(
-                    "transient", "lti_factorizations",
-                    static_cast<double>(r.stats.lti_factorizations));
-                rep->add_number("transient", "border_dim",
-                                static_cast<double>(r.stats.border_dim));
+                rep->add_number("transient", "lu_nnz",
+                                static_cast<double>(r.stats.lu_nnz));
+                rep->add_number("transient", "factor_flops",
+                                static_cast<double>(r.stats.factor_flops));
                 rep->add_number("transient", "lu_solves",
                                 static_cast<double>(r.stats.lu_solves));
                 rep->add_number("transient", "wall_seconds", transient_s);
@@ -121,11 +120,11 @@ int main(int argc, char** argv) {
             if (args.has("profile"))
                 std::printf("transient: %zu steps, %zu Newton iterations, "
                             "%zu rejections, %zu LU factorizations "
-                            "(%zu interior, border k = %zu), "
+                            "(nnz(L+U) = %zu, %zu multiply-adds), "
                             "%zu solves, %.3f s\n\n",
                             r.stats.steps, r.stats.newton_iterations,
                             r.stats.step_rejections, r.stats.lu_factorizations,
-                            r.stats.lti_factorizations, r.stats.border_dim,
+                            r.stats.lu_nnz, r.stats.factor_flops,
                             r.stats.lu_solves, transient_s);
 
             std::printf("%-12s %-16s %-16s %-16s\n", "site",
