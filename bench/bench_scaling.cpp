@@ -446,7 +446,9 @@ void BM_full_pipeline(benchmark::State& state) {
     for (auto _ : state) {
         const PlaneBem bem = make_plane(n);
         // Force the lazy assembly stages up front so the extract window below
-        // times pure Kron reduction, not hidden fills.
+        // times the cycle-basis reduction, not hidden fills. The extractor
+        // reads only the L and Ppot fills; the all-node inverse and Γ are
+        // still built to keep their stage trajectories (invert_s, gamma_s).
         bem.maxwell_capacitance();
         bem.gamma();
         const CircuitExtractor ex(bem);

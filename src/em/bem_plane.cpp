@@ -71,7 +71,7 @@ obs::Counter& cache_entry_counter() {
 
 } // namespace
 
-void PlaneBem::assemble_potential() const {
+MatrixD PlaneBem::assemble_potential() const {
     PGSI_TRACE_SCOPE("bem.fill.potential");
     PGSI_ALLOC_SCOPE("em.assembly");
     const auto& nodes = mesh_.nodes();
@@ -95,7 +95,10 @@ void PlaneBem::assemble_potential() const {
             for (std::size_t i = j; i < n; ++i)
                 p(i, j) = table[table_index(lat, i, j)];
         });
-        stats_.potential_cached = true;
+        {
+            const std::lock_guard<std::mutex> lock(stats_->mu);
+            stats_->value.potential_cached = true;
+        }
         ++cached_fill_counter();
     } else {
         // Column-parallel: each worker owns whole columns, so writes never
@@ -124,31 +127,29 @@ void PlaneBem::assemble_potential() const {
     }
     for (std::size_t j = 0; j < n; ++j)
         for (std::size_t i = j + 1; i < n; ++i) p(j, i) = p(i, j);
-    ppot_ = std::move(p);
+    return p;
 }
 
 const MatrixD& PlaneBem::potential_matrix() const {
-    if (!ppot_) assemble_potential();
-    return *ppot_;
+    return ppot_.get([&] { return assemble_potential(); });
 }
 
 const MatrixD& PlaneBem::maxwell_capacitance() const {
-    if (!cmax_) {
+    return cmax_.get([&] {
         const MatrixD& p = potential_matrix();
         PGSI_TRACE_SCOPE("bem.invert.potential");
         PGSI_ALLOC_SCOPE("em.assembly");
         try {
-            cmax_ = Cholesky(p).inverse();
+            return Cholesky(p).inverse();
         } catch (const NumericalError&) {
             // Ppot can lose definiteness to quadrature error on extreme
             // aspect-ratio meshes; fall back to a pivoted LU inverse.
-            cmax_ = Lu<double>(p).inverse();
+            return Lu<double>(p).inverse();
         }
-    }
-    return *cmax_;
+    });
 }
 
-void PlaneBem::assemble_inductance() const {
+MatrixD PlaneBem::assemble_inductance() const {
     PGSI_TRACE_SCOPE("bem.fill.inductance");
     PGSI_ALLOC_SCOPE("em.assembly");
     const auto& branches = mesh_.branches();
@@ -189,7 +190,10 @@ void PlaneBem::assemble_inductance() const {
                     l(idx[ii], idx[jj]) = table[table_index(lg, ii, jj)];
             });
         }
-        stats_.inductance_cached = true;
+        {
+            const std::lock_guard<std::mutex> lock(stats_->mu);
+            stats_->value.inductance_cached = true;
+        }
         ++cached_fill_counter();
     } else {
         par::parallel_for(m, [&](std::size_t b) {
@@ -214,25 +218,23 @@ void PlaneBem::assemble_inductance() const {
     }
     for (std::size_t b = 0; b < m; ++b)
         for (std::size_t a = b + 1; a < m; ++a) l(b, a) = l(a, b);
-    l_ = std::move(l);
+    return l;
 }
 
 const MatrixD& PlaneBem::inductance_matrix() const {
-    if (!l_) assemble_inductance();
-    return *l_;
+    return l_.get([&] { return assemble_inductance(); });
 }
 
 const VectorD& PlaneBem::branch_resistance() const {
-    if (!rbranch_) {
+    return rbranch_.get([&] {
         const auto& branches = mesh_.branches();
         VectorD r(branches.size());
         for (std::size_t b = 0; b < branches.size(); ++b) {
             const double rs = mesh_.shapes()[branches[b].shape].sheet_resistance;
             r[b] = rs * branches[b].length() / branches[b].width();
         }
-        rbranch_ = std::move(r);
-    }
-    return *rbranch_;
+        return r;
+    });
 }
 
 MatrixD PlaneBem::incidence_dense() const {
@@ -246,7 +248,7 @@ MatrixD PlaneBem::incidence_dense() const {
 }
 
 const MatrixD& PlaneBem::gamma() const {
-    if (!gamma_) {
+    return gamma_.get([&] {
         const MatrixD& l = inductance_matrix();
         PGSI_TRACE_SCOPE("bem.gamma");
         PGSI_ALLOC_SCOPE("em.assembly");
@@ -277,13 +279,12 @@ const MatrixD& PlaneBem::gamma() const {
                 g(i, j) = v;
                 g(j, i) = v;
             }
-        gamma_ = std::move(g);
-    }
-    return *gamma_;
+        return g;
+    });
 }
 
 const MatrixD& PlaneBem::dc_conductance() const {
-    if (!gdc_) {
+    return gdc_.get([&] {
         const VectorD& r = branch_resistance();
         const auto& branches = mesh_.branches();
         const std::size_t n = mesh_.node_count();
@@ -299,24 +300,22 @@ const MatrixD& PlaneBem::dc_conductance() const {
             g(i, j) -= gb;
             g(j, i) -= gb;
         }
-        gdc_ = std::move(g);
-    }
-    return *gdc_;
+        return g;
+    });
 }
 
 const Lattice& PlaneBem::node_lattice() const {
-    if (!node_lat_) {
+    return node_lat_.get([&] {
         const auto& nodes = mesh_.nodes();
-        node_lat_ = detect_lattice(
+        return detect_lattice(
             nodes.size(), [&](std::size_t e) { return nodes[e].center; },
             [&](std::size_t e) { return std::pair{nodes[e].dx, nodes[e].dy}; },
             [&](std::size_t e) { return nodes[e].z; });
-    }
-    return *node_lat_;
+    });
 }
 
 const PlaneBem::BranchFamilies& PlaneBem::branch_families() const {
-    if (!branch_fam_) {
+    return branch_fam_.get([&] {
         const auto& branches = mesh_.branches();
         BranchFamilies bf;
         for (std::size_t b = 0; b < branches.size(); ++b)
@@ -336,13 +335,25 @@ const PlaneBem::BranchFamilies& PlaneBem::branch_families() const {
                 [&](std::size_t e) { return branches[idx[e]].z; });
             bf.uniform = bf.uniform && bf.lat[d].uniform;
         }
-        branch_fam_ = std::move(bf);
+        return bf;
+    });
+}
+
+BemAssemblyStats PlaneBem::stats() const {
+    const std::lock_guard<std::mutex> lock(stats_->mu);
+    return stats_->value;
+}
+
+void PlaneBem::note_table_entries(std::size_t entries) const {
+    {
+        const std::lock_guard<std::mutex> lock(stats_->mu);
+        stats_->value.cache_entries += entries;
     }
-    return *branch_fam_;
+    cache_entry_counter().add(entries);
 }
 
 const std::vector<double>& PlaneBem::potential_table() const {
-    if (!ptable_) {
+    return ptable_.get([&] {
         const Lattice& lat = node_lattice();
         PGSI_REQUIRE(lat.uniform,
                      "potential_table requires a uniform-pitch mesh");
@@ -364,15 +375,13 @@ const std::vector<double>& PlaneBem::potential_table() const {
                        }) *
                     inv_area;
             });
-        stats_.cache_entries += table.size();
-        cache_entry_counter().add(table.size());
-        ptable_ = std::move(table);
-    }
-    return *ptable_;
+        note_table_entries(table.size());
+        return table;
+    });
 }
 
 const std::vector<double>& PlaneBem::inductance_table(int d) const {
-    if (!ltable_[d]) {
+    return ltable_[d].get([&] {
         const BranchFamilies& bf = branch_families();
         const Lattice& lg = bf.lat[d];
         PGSI_REQUIRE(lg.uniform,
@@ -396,11 +405,9 @@ const std::vector<double>& PlaneBem::inductance_table(int d) const {
                        }) *
                     scale;
             });
-        stats_.cache_entries += table.size();
-        cache_entry_counter().add(table.size());
-        ltable_[d] = std::move(table);
-    }
-    return *ltable_[d];
+        note_table_entries(table.size());
+        return table;
+    });
 }
 
 double PlaneBem::potential_entry(std::size_t i, std::size_t j) const {
@@ -466,23 +473,21 @@ bool PlaneBem::uniform_lattice() const {
 }
 
 const InteractionOperator& PlaneBem::potential_operator() const {
-    if (!pop_) {
+    return pop_.get([&] {
         const std::size_t n = mesh_.node_count();
         if (options_.assembly != AssemblyMode::Direct && uniform_lattice()) {
             std::vector<ToeplitzFamily> fams;
             fams.emplace_back(node_lattice(), potential_table());
             std::vector<std::size_t> ident(n);
             for (std::size_t i = 0; i < n; ++i) ident[i] = i;
-            pop_ = InteractionOperator::toeplitz(std::move(fams), {std::move(ident)}, n);
-        } else {
-            pop_ = InteractionOperator::dense(&potential_matrix());
+            return InteractionOperator::toeplitz(std::move(fams), {std::move(ident)}, n);
         }
-    }
-    return *pop_;
+        return InteractionOperator::dense(&potential_matrix());
+    });
 }
 
 const InteractionOperator& PlaneBem::inductance_operator() const {
-    if (!lop_) {
+    return lop_.get([&] {
         const std::size_t m = mesh_.branch_count();
         if (options_.assembly != AssemblyMode::Direct && uniform_lattice()) {
             const BranchFamilies& bf = branch_families();
@@ -494,12 +499,10 @@ const InteractionOperator& PlaneBem::inductance_operator() const {
                                                  : inductance_table(d));
                 idx.push_back(bf.idx[d]);
             }
-            lop_ = InteractionOperator::toeplitz(std::move(fams), std::move(idx), m);
-        } else {
-            lop_ = InteractionOperator::dense(&inductance_matrix());
+            return InteractionOperator::toeplitz(std::move(fams), std::move(idx), m);
         }
-    }
-    return *lop_;
+        return InteractionOperator::dense(&inductance_matrix());
+    });
 }
 
 } // namespace pgsi

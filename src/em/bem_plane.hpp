@@ -22,9 +22,11 @@
 #pragma once
 
 #include <array>
-#include <optional>
+#include <memory>
+#include <mutex>
 #include <vector>
 
+#include "common/lazy.hpp"
 #include "em/greens.hpp"
 #include "em/surface_impedance.hpp"
 #include "em/toeplitz_operator.hpp"
@@ -77,7 +79,9 @@ struct BemAssemblyStats {
 
 /// Assembled BEM operator for one meshed plane structure. Matrices are
 /// assembled lazily and cached; all are frequency independent under the
-/// quasi-static approximation of §4.1.
+/// quasi-static approximation of §4.1. Each cached member is filled once,
+/// even when its first use comes from several threads at once, so a model
+/// may be shared by concurrent solves. Movable, not copyable.
 class PlaneBem {
 public:
     PlaneBem(RectMesh mesh, Greens greens, BemOptions options = {});
@@ -151,7 +155,7 @@ public:
     std::array<std::vector<std::size_t>, 2> branch_direction_index() const;
 
     /// Assembly work observed so far (table use, cache entries).
-    const BemAssemblyStats& stats() const { return stats_; }
+    BemAssemblyStats stats() const;
 
 private:
     /// Branch indices and lattices of the two current-cell directions.
@@ -169,26 +173,33 @@ private:
     const QuadratureRule* grule_ = nullptr;
     const QuadratureRule* lrule_ = nullptr;
 
-    mutable std::optional<MatrixD> ppot_;
-    mutable std::optional<MatrixD> cmax_;
-    mutable std::optional<MatrixD> l_;
-    mutable std::optional<VectorD> rbranch_;
-    mutable std::optional<MatrixD> gamma_;
-    mutable std::optional<MatrixD> gdc_;
-    mutable std::optional<Lattice> node_lat_;
-    mutable std::optional<BranchFamilies> branch_fam_;
-    mutable std::optional<std::vector<double>> ptable_;
-    mutable std::optional<std::vector<double>> ltable_[2];
-    mutable std::optional<InteractionOperator> pop_;
-    mutable std::optional<InteractionOperator> lop_;
-    mutable BemAssemblyStats stats_;
+    Lazy<MatrixD> ppot_;
+    Lazy<MatrixD> cmax_;
+    Lazy<MatrixD> l_;
+    Lazy<VectorD> rbranch_;
+    Lazy<MatrixD> gamma_;
+    Lazy<MatrixD> gdc_;
+    Lazy<Lattice> node_lat_;
+    Lazy<BranchFamilies> branch_fam_;
+    Lazy<std::vector<double>> ptable_;
+    Lazy<std::vector<double>> ltable_[2];
+    Lazy<InteractionOperator> pop_;
+    Lazy<InteractionOperator> lop_;
+    /// Fills of different members may run concurrently; they share the
+    /// stats record under its mutex.
+    struct StatsCell {
+        std::mutex mu;
+        BemAssemblyStats value;
+    };
+    std::unique_ptr<StatsCell> stats_ = std::make_unique<StatsCell>();
 
-    void assemble_potential() const;
-    void assemble_inductance() const;
+    MatrixD assemble_potential() const;
+    MatrixD assemble_inductance() const;
     const Lattice& node_lattice() const;
     const BranchFamilies& branch_families() const;
     const std::vector<double>& potential_table() const;
     const std::vector<double>& inductance_table(int d) const;
+    void note_table_entries(std::size_t entries) const;
 };
 
 } // namespace pgsi

@@ -5,8 +5,13 @@
 
 #include "common/constants.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
+#include "common/robust.hpp"
 #include "extract/reduction.hpp"
+#include "numeric/cholesky.hpp"
 #include "numeric/lu.hpp"
+#include "numeric/sparse_lu.hpp"
+#include "obs/trace.hpp"
 
 namespace pgsi {
 
@@ -67,67 +72,291 @@ double EquivalentCircuit::total_reference_capacitance() const {
 CircuitExtractor::CircuitExtractor(const PlaneBem& bem, ExtractionOptions options)
     : bem_(bem), options_(options) {}
 
-EquivalentCircuit CircuitExtractor::extract(
+namespace {
+
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+std::size_t other_end(const MeshBranch& b, std::size_t node) {
+    return b.n1 == node ? b.n2 : b.n1;
+}
+
+/// Spanning tree of the branch graph with every kept node merged into one
+/// root, and the sparse cycle basis Z (m × (m − e)) it induces.
+struct LoopBasis {
+    std::vector<std::size_t> order; ///< eliminated nodes, parents first
+    std::vector<std::size_t> up;    ///< tree branch toward the root (kNone
+                                    ///< for kept nodes)
+    /// Z in compressed-column form: one column per non-tree branch, ±1
+    /// entries.
+    std::vector<std::size_t> col_ptr{0};
+    std::vector<std::size_t> row;
+    std::vector<double> val;
+
+    std::size_t cols() const { return col_ptr.size() - 1; }
+};
+
+LoopBasis loop_basis(const RectMesh& mesh, const std::vector<std::size_t>& kept_pos) {
+    const auto& br = mesh.branches();
+    const std::size_t n = mesh.node_count(), m = br.size();
+    // Node → incident branches, ascending branch order.
+    std::vector<std::size_t> adj_ptr(n + 1, 0), adj(2 * m);
+    for (const MeshBranch& b : br) {
+        ++adj_ptr[b.n1 + 1];
+        ++adj_ptr[b.n2 + 1];
+    }
+    for (std::size_t i = 0; i < n; ++i) adj_ptr[i + 1] += adj_ptr[i];
+    std::vector<std::size_t> next(adj_ptr.begin(), adj_ptr.end() - 1);
+    for (std::size_t b = 0; b < m; ++b) {
+        adj[next[br[b].n1]++] = b;
+        adj[next[br[b].n2]++] = b;
+    }
+
+    // BFS from the merged root. Kept nodes sit at depth 0.
+    LoopBasis lb;
+    lb.up.assign(n, kNone);
+    std::vector<std::size_t> depth(n, 0);
+    std::vector<char> seen(n, 0);
+    std::vector<std::size_t> queue;
+    for (std::size_t i = 0; i < n; ++i)
+        if (kept_pos[i] != kNone) {
+            seen[i] = 1;
+            queue.push_back(i);
+        }
+    for (std::size_t q = 0; q < queue.size(); ++q) {
+        const std::size_t x = queue[q];
+        for (std::size_t p = adj_ptr[x]; p < adj_ptr[x + 1]; ++p) {
+            const std::size_t y = other_end(br[adj[p]], x);
+            if (seen[y]) continue;
+            seen[y] = 1;
+            lb.up[y] = adj[p];
+            depth[y] = depth[x] + 1;
+            queue.push_back(y);
+            lb.order.push_back(y);
+        }
+    }
+    if (queue.size() != n)
+        throw NumericalError(
+            "CircuitExtractor: a mesh component holds no kept node, so its "
+            "potential is undefined");
+
+    // One column per non-tree branch b: unit current along b (n1 → n2),
+    // back up the tree from n2 and down the tree into n1. The two paths stop
+    // where they meet, or at the merged root.
+    std::vector<char> tree(m, 0);
+    for (std::size_t y : lb.order) tree[lb.up[y]] = 1;
+    for (std::size_t b = 0; b < m; ++b) {
+        if (tree[b]) continue;
+        lb.row.push_back(b);
+        lb.val.push_back(1.0);
+        std::size_t u = br[b].n1, v = br[b].n2;
+        while (u != v && depth[u] + depth[v] > 0) {
+            if (depth[u] >= depth[v]) {
+                const std::size_t t = lb.up[u];
+                lb.row.push_back(t);
+                lb.val.push_back(br[t].n1 == u ? -1.0 : 1.0);
+                u = other_end(br[t], u);
+            } else {
+                const std::size_t t = lb.up[v];
+                lb.row.push_back(t);
+                lb.val.push_back(br[t].n1 == v ? 1.0 : -1.0);
+                v = other_end(br[t], v);
+            }
+        }
+        lb.col_ptr.push_back(lb.row.size());
+    }
+    return lb;
+}
+
+/// Solve A X = B for a symmetric positive-definite A. A failed Cholesky (or
+/// the extract.cholesky fault site) is recorded as a recovery, and the solve
+/// falls back to pivoted LU.
+MatrixD spd_solve(const MatrixD& a, const MatrixD& b, const char* what) {
+    try {
+        if (robust::FaultInjector::should_fire("extract.cholesky"))
+            throw NumericalError("injected fault at extract.cholesky");
+        return Cholesky(a).solve(b);
+    } catch (const NumericalError& e) {
+        robust::note_recovery(nullptr, "extract.lu_fallback",
+                              std::string(what) + ": " + e.what() +
+                                  "; solved by pivoted LU");
+        return Lu<double>(a).solve(b);
+    }
+}
+
+/// G_kk − G_ke G_ee⁻¹ G_ek of the sparse DC conductance Laplacian, with one
+/// sparse LU of G_ee and k solves.
+MatrixD reduce_conductance(const PlaneBem& bem,
+                           const std::vector<std::size_t>& kept_pos, std::size_t k) {
+    const auto& br = bem.mesh().branches();
+    const VectorD& r = bem.branch_resistance();
+    const std::size_t n = kept_pos.size();
+    std::vector<std::size_t> elim_pos(n, kNone);
+    std::size_t e = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        if (kept_pos[i] == kNone) elim_pos[i] = e++;
+
+    MatrixD g(k, k);   // G_kk
+    MatrixD gke(k, e); // G_ke
+    std::vector<SparseEntry> gee;
+    const auto stamp = [&](std::size_t i, std::size_t j, double v) {
+        if (kept_pos[i] != kNone) {
+            if (kept_pos[j] != kNone)
+                g(kept_pos[i], kept_pos[j]) += v;
+            else
+                gke(kept_pos[i], elim_pos[j]) += v;
+        } else if (kept_pos[j] == kNone) {
+            gee.push_back({elim_pos[i], elim_pos[j], v});
+        }
+    };
+    for (std::size_t b = 0; b < br.size(); ++b) {
+        const double gb = 1.0 / r[b];
+        stamp(br[b].n1, br[b].n1, gb);
+        stamp(br[b].n2, br[b].n2, gb);
+        stamp(br[b].n1, br[b].n2, -gb);
+        stamp(br[b].n2, br[b].n1, -gb);
+    }
+    if (e > 0) {
+        const SparseLu lu(CscMatrix::from_entries(e, gee));
+        std::vector<double> rhs(e);
+        for (std::size_t j = 0; j < k; ++j) {
+            std::copy(gke.row(j), gke.row(j) + e, rhs.begin());
+            const std::vector<double> x = lu.solve(rhs); // G_ee⁻¹ G_ek(:, j)
+            for (std::size_t i = 0; i < k; ++i) {
+                const double* gi = gke.row(i);
+                double s = 0;
+                for (std::size_t q = 0; q < e; ++q) s += gi[q] * x[q];
+                g(i, j) -= s;
+            }
+        }
+    }
+    symmetrize(g);
+    return g;
+}
+
+} // namespace
+
+bool CircuitExtractor::lossy() const {
+    if (!options_.include_resistance) return false;
+    for (const auto& s : bem_.mesh().shapes())
+        if (s.sheet_resistance <= 0) return false;
+    return true;
+}
+
+ReducedMatrices CircuitExtractor::reduce(
     const std::vector<std::size_t>& keep_nodes) const {
     PGSI_REQUIRE(!keep_nodes.empty(), "CircuitExtractor: keep set is empty");
-    const std::size_t n = keep_nodes.size();
-    const bool full = (n == bem_.node_count());
+    const RectMesh& mesh = bem_.mesh();
+    const auto& br = mesh.branches();
+    const std::size_t n = mesh.node_count(), m = br.size(), k = keep_nodes.size();
+    std::vector<std::size_t> kept_pos(n, kNone);
+    for (std::size_t j = 0; j < k; ++j) {
+        PGSI_REQUIRE(keep_nodes[j] < n, "CircuitExtractor: kept node out of range");
+        PGSI_REQUIRE(kept_pos[keep_nodes[j]] == kNone,
+                     "CircuitExtractor: duplicate kept node");
+        kept_pos[keep_nodes[j]] = j;
+    }
+    const MatrixD& l = bem_.inductance_matrix();
+    const MatrixD& ppot = bem_.potential_matrix();
 
-    // Γ is reduced by the exact Kron (Laplacian Schur) complement. The
-    // capacitance must NOT be reduced with a floating-charge Schur
-    // complement: eliminated cells belong to the same conductor, so their
-    // charge has to be re-attributed to the retained nodes. The consistent
-    // quasi-static projection is the congruence transform C_red = Wᵀ C W
-    // with the inductive interpolation W = [I; −Γ_ee⁻¹ Γ_ek] — the voltage
-    // distribution the inductive network imposes on the eliminated nodes.
-    // W maps constants to constants (Γ is a Laplacian), so the total plane
-    // capacitance is preserved exactly. Note Γ_red = Wᵀ Γ W equals the Kron
-    // complement, so one projection serves both matrices.
-    MatrixD gamma, cmax;
-    if (full) {
-        gamma = bem_.gamma();
-        cmax = bem_.maxwell_capacitance();
-    } else {
-        const MatrixD& g = bem_.gamma();
-        const MatrixD& c = bem_.maxwell_capacitance();
-        const std::vector<std::size_t> elim =
-            complement_indices(g.rows(), keep_nodes);
-        const MatrixD gke = g.submatrix(keep_nodes, elim);
-        const MatrixD gek = g.submatrix(elim, keep_nodes);
-        const MatrixD gee = g.submatrix(elim, elim);
-        const MatrixD x = Lu<double>(gee).solve(gek); // Γ_ee⁻¹ Γ_ek
-
-        gamma = g.submatrix(keep_nodes, keep_nodes);
-        gamma -= gke * x;
-
-        const MatrixD cke = c.submatrix(keep_nodes, elim);
-        const MatrixD cee = c.submatrix(elim, elim);
-        cmax = c.submatrix(keep_nodes, keep_nodes);
-        cmax -= cke * x;
-        cmax -= x.transposed() * c.submatrix(elim, keep_nodes);
-        cmax += x.transposed() * cee * x;
-
-        // Restore exact symmetry lost to pivoting.
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = i + 1; j < n; ++j) {
-                double v = 0.5 * (gamma(i, j) + gamma(j, i));
-                gamma(i, j) = v;
-                gamma(j, i) = v;
-                v = 0.5 * (cmax(i, j) + cmax(j, i));
-                cmax(i, j) = v;
-                cmax(j, i) = v;
+    LoopBasis z;
+    MatrixD b; // B = Zᵀ P_k
+    {
+        PGSI_TRACE_SCOPE("extract.loops");
+        z = loop_basis(mesh, kept_pos);
+        b = MatrixD(z.cols(), k);
+        for (std::size_t c = 0; c < z.cols(); ++c)
+            for (std::size_t p = z.col_ptr[c]; p < z.col_ptr[c + 1]; ++p) {
+                const MeshBranch& e = br[z.row[p]];
+                if (kept_pos[e.n1] != kNone) b(c, kept_pos[e.n1]) += z.val[p];
+                if (kept_pos[e.n2] != kNone) b(c, kept_pos[e.n2]) -= z.val[p];
             }
     }
-    MatrixD gdc;
-    const bool lossy = options_.include_resistance &&
-                       [&] {
-                           for (const auto& s : bem_.mesh().shapes())
-                               if (s.sheet_resistance <= 0) return false;
-                           return true;
-                       }();
-    if (lossy)
-        gdc = full ? bem_.dc_conductance()
-                   : schur_reduce(bem_.dc_conductance(), keep_nodes);
+
+    ReducedMatrices red;
+    MatrixD w(n, k); // W, rows by mesh node
+    {
+        PGSI_TRACE_SCOPE("extract.gamma");
+        const std::size_t c = z.cols();
+        // LZ and the lower triangle of M = Zᵀ(LZ), row-parallel: every output
+        // row has one owner and a fixed accumulation order.
+        MatrixD lz(m, c);
+        par::parallel_for(m, [&](std::size_t a) {
+            const double* la = l.row(a);
+            double* out = lz.row(a);
+            for (std::size_t j = 0; j < c; ++j) {
+                double s = 0;
+                for (std::size_t p = z.col_ptr[j]; p < z.col_ptr[j + 1]; ++p)
+                    s += z.val[p] * la[z.row[p]];
+                out[j] = s;
+            }
+        });
+        MatrixD mz(c, c);
+        par::parallel_for(c, [&](std::size_t i) {
+            double* out = mz.row(i);
+            for (std::size_t p = z.col_ptr[i]; p < z.col_ptr[i + 1]; ++p) {
+                const double zv = z.val[p];
+                const double* lzr = lz.row(z.row[p]);
+                for (std::size_t j = 0; j <= i; ++j) out[j] += zv * lzr[j];
+            }
+        });
+        for (std::size_t i = 0; i < c; ++i)
+            for (std::size_t j = i + 1; j < c; ++j) mz(i, j) = mz(j, i);
+
+        const MatrixD x = spd_solve(mz, b, "loop inductance"); // M⁻¹ B
+        red.gamma = b.transposed() * x;
+        symmetrize(red.gamma);
+
+        // Tree-branch EMFs (L I = LZ X), integrated out from the root.
+        const std::size_t e = z.order.size();
+        MatrixD emf(e, k);
+        par::parallel_for(e, [&](std::size_t q) {
+            const double* lzr = lz.row(z.up[z.order[q]]);
+            double* out = emf.row(q);
+            for (std::size_t i = 0; i < c; ++i) {
+                const double v = lzr[i];
+                const double* xr = x.row(i);
+                for (std::size_t j = 0; j < k; ++j) out[j] += v * xr[j];
+            }
+        });
+        for (std::size_t j = 0; j < k; ++j) w(keep_nodes[j], j) = 1.0;
+        for (std::size_t q = 0; q < e; ++q) {
+            const std::size_t y = z.order[q];
+            const MeshBranch& t = br[z.up[y]];
+            // EMF of t is φ(n1) − φ(n2).
+            const double sign = t.n1 == y ? 1.0 : -1.0;
+            const double* parent = w.row(other_end(t, y));
+            const double* eq = emf.row(q);
+            double* wy = w.row(y);
+            for (std::size_t j = 0; j < k; ++j) wy[j] = parent[j] + sign * eq[j];
+        }
+    }
+    {
+        PGSI_TRACE_SCOPE("extract.capacitance");
+        const MatrixD y = spd_solve(ppot, w, "potential coefficients"); // Ppot⁻¹ W
+        red.capacitance = w.transposed() * y;
+        symmetrize(red.capacitance);
+    }
+    if (lossy()) {
+        PGSI_TRACE_SCOPE("extract.conductance");
+        red.conductance = reduce_conductance(bem_, kept_pos, k);
+    }
+    return red;
+}
+
+EquivalentCircuit CircuitExtractor::extract(
+    const std::vector<std::size_t>& keep_nodes) const {
+    return circuit(reduce(keep_nodes), keep_nodes);
+}
+
+EquivalentCircuit CircuitExtractor::circuit(
+    const ReducedMatrices& red, const std::vector<std::size_t>& keep_nodes) const {
+    const std::size_t n = keep_nodes.size();
+    const MatrixD& gamma = red.gamma;
+    const MatrixD& cmax = red.capacitance;
+    const MatrixD& gdc = red.conductance;
+    PGSI_REQUIRE(gamma.rows() == n && cmax.rows() == n,
+                 "CircuitExtractor: reduced matrices do not match the keep set");
+    const bool lossy = gdc.rows() == n;
 
     // Pruning thresholds from the largest off-diagonal magnitudes.
     double gmax = 0, cmx = 0, dmax = 0;

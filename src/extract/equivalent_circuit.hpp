@@ -13,6 +13,29 @@
 //     L_mm = 0                            (eq 26 — no inductance to reference)
 //     R_mn = −1/G_mn from the Kron-reduced DC conductance (first-order loss)
 //
+// The circuit needs Γ, C and G only at the k kept nodes, so they are
+// reduced without forming any of them over all n mesh nodes. The kept nodes
+// are merged into one root and a BFS spanning tree of the branch graph
+// reaches the e = n − k eliminated nodes. Each of the m − e non-tree
+// branches, closed through its tree paths back to the root, is one column
+// of a sparse cycle basis Z; every column satisfies KCL at every eliminated
+// node (Pₑᵀ Z = 0), which is the loop analysis of Zhu et al. Then, with the
+// incidence P_k of the kept nodes,
+//
+//     M = Zᵀ L Z,  B = Zᵀ P_k,          Γ_red = Bᵀ M⁻¹ B
+//     I = Z M⁻¹ B                        (branch currents per kept node)
+//     W = [I; −Γ_ee⁻¹ Γ_ek]              (tree-branch EMFs L·I integrated
+//                                         out from the root)
+//     C_red = Wᵀ Ppot⁻¹ W                (k solves against Ppot)
+//     G_red = G_kk − G_ke G_ee⁻¹ G_ek    (sparse LU of the e×e G_ee)
+//
+// The capacitance is projected by the congruence with W rather than by a
+// floating-charge Schur complement: eliminated cells belong to the same
+// conductor, so their charge is re-attributed to the kept nodes with the
+// voltage distribution the inductive network imposes. W maps constants to
+// constants (Γ is a Laplacian), so the total plane capacitance is kept
+// exactly. Keeping every node degenerates to Z = I and M = L.
+//
 // The extracted network is frequency independent and valid "up to a certain
 // frequency limit well above most digital signal bandwidth" (§4.1); the
 // ablation benches quantify that limit against the direct BEM sweep.
@@ -65,6 +88,14 @@ struct EquivalentCircuit {
     double total_reference_capacitance() const;
 };
 
+/// Nodal matrices reduced to the kept nodes; rows and columns follow the
+/// keep order.
+struct ReducedMatrices {
+    MatrixD gamma;       ///< inverse inductance Γ_red [1/H]
+    MatrixD capacitance; ///< Maxwell capacitance C_red [F]
+    MatrixD conductance; ///< DC conductance G_red [S]; empty when lossless
+};
+
 /// Extraction controls.
 struct ExtractionOptions {
     /// Drop L/C/R branch elements whose defining matrix entry is smaller than
@@ -94,6 +125,20 @@ public:
 
     /// Equivalent circuit over every mesh node (no reduction).
     EquivalentCircuit extract_full() const;
+
+    /// Γ, C and G reduced to keep_nodes on the cycle basis (see the file
+    /// comment). Throws NumericalError when a mesh component holds no kept
+    /// node: its potential is then undefined.
+    ReducedMatrices reduce(const std::vector<std::size_t>& keep_nodes) const;
+
+    /// The element maps (eqs 24–27), pruning and passivity options applied
+    /// to reduced matrices over keep_nodes.
+    EquivalentCircuit circuit(const ReducedMatrices& red,
+                              const std::vector<std::size_t>& keep_nodes) const;
+
+    /// Whether the extraction includes branch resistances: requested and
+    /// every meshed shape has a lossy sheet.
+    bool lossy() const;
 
     /// Node-selection helper: the given port nodes plus roughly
     /// `interior_target` interior nodes sampled uniformly across the mesh.

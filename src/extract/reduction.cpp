@@ -38,13 +38,18 @@ MatrixD schur_reduce(const MatrixD& m, const std::vector<std::size_t>& keep) {
     const MatrixD corr = mke * x;
     red -= corr;
     // The inputs are symmetric; restore exact symmetry lost to pivoting.
-    for (std::size_t i = 0; i < red.rows(); ++i)
-        for (std::size_t j = i + 1; j < red.cols(); ++j) {
-            const double v = 0.5 * (red(i, j) + red(j, i));
-            red(i, j) = v;
-            red(j, i) = v;
-        }
+    symmetrize(red);
     return red;
+}
+
+void symmetrize(MatrixD& a) {
+    PGSI_REQUIRE(a.square(), "symmetrize: matrix must be square");
+    for (std::size_t i = 0; i < a.rows(); ++i)
+        for (std::size_t j = i + 1; j < a.cols(); ++j) {
+            const double v = 0.5 * (a(i, j) + a(j, i));
+            a(i, j) = v;
+            a(j, i) = v;
+        }
 }
 
 } // namespace pgsi

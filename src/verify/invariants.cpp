@@ -12,6 +12,7 @@
 #include "em/cavity_model.hpp"
 #include "em/iterative_solver.hpp"
 #include "em/surface_impedance.hpp"
+#include "extract/reduction.hpp"
 #include "numeric/eigen.hpp"
 #include "numeric/lu.hpp"
 #include "serve/engine.hpp"
@@ -119,6 +120,28 @@ double relative_diff(const MatrixD& a, const MatrixD& b) {
         for (std::size_t j = 0; j < a.cols(); ++j)
             worst = std::max(worst, std::abs(a(i, j) - b(i, j)) / scale);
     return worst;
+}
+
+ReducedMatrices dense_reduction(const PlaneBem& bem,
+                                const std::vector<std::size_t>& keep, bool lossy) {
+    const MatrixD& g = bem.gamma();
+    const MatrixD& c = bem.maxwell_capacitance();
+    const std::vector<std::size_t> elim = complement_indices(g.rows(), keep);
+    ReducedMatrices red;
+    red.gamma = g.submatrix(keep, keep);
+    red.capacitance = c.submatrix(keep, keep);
+    if (!elim.empty()) {
+        const MatrixD x = Lu<double>(g.submatrix(elim, elim))
+                              .solve(g.submatrix(elim, keep)); // Γ_ee⁻¹ Γ_ek
+        red.gamma -= g.submatrix(keep, elim) * x;
+        red.capacitance -= c.submatrix(keep, elim) * x;
+        red.capacitance -= x.transposed() * c.submatrix(elim, keep);
+        red.capacitance += x.transposed() * c.submatrix(elim, elim) * x;
+    }
+    symmetrize(red.gamma);
+    symmetrize(red.capacitance);
+    if (lossy) red.conductance = schur_reduce(bem.dc_conductance(), keep);
+    return red;
 }
 
 double effective_capacitance(const PlaneBem& bem, std::size_t component) {
@@ -569,6 +592,39 @@ CheckResult inv_serve_equivalence(const InvariantContext& ctx) {
     return r;
 }
 
+// The cycle-basis extraction must reproduce the dense reduction: Γ, C and
+// G at the kept nodes (the ports plus a sampled interior) against the O(n³)
+// all-node path, on every generated geometry — holes, split planes and
+// stacked layers give the spanning tree its branching and multi-root cases.
+CheckResult inv_extract_equivalence(const InvariantContext& ctx) {
+    const CircuitExtractor ex(ctx.bem);
+    const std::vector<std::size_t> keep = ex.select_nodes(ctx.ports, 8);
+    const RectMesh& mesh = ctx.bem.mesh();
+    std::vector<char> covered(mesh.component_count(), 0);
+    for (std::size_t k : keep) covered[mesh.component_of()[k]] = 1;
+    if (std::find(covered.begin(), covered.end(), 0) != covered.end())
+        return skipped("extract_equivalence",
+                       "a mesh component holds no kept node");
+    CheckResult r;
+    r.invariant = "extract_equivalence";
+    r.tolerance = ctx.tol.extraction;
+    const ReducedMatrices fast = ex.reduce(keep);
+    const ReducedMatrices dense = dense_reduction(ctx.bem, keep, ex.lossy());
+    const double dg = relative_diff(dense.gamma, fast.gamma);
+    const double dc = relative_diff(dense.capacitance, fast.capacitance);
+    const double dr = ex.lossy()
+                          ? relative_diff(dense.conductance, fast.conductance)
+                          : 0.0;
+    r.error = std::max({dg, dc, dr});
+    r.pass = r.error <= r.tolerance;
+    if (!r.pass)
+        r.detail = "cycle-basis vs dense reduction: gamma rel=" + fmt(dg) +
+                   " C rel=" + fmt(dc) + " G rel=" + fmt(dr) + " at " +
+                   std::to_string(keep.size()) + " of " +
+                   std::to_string(mesh.node_count()) + " nodes";
+    return r;
+}
+
 } // namespace
 
 const std::vector<PlaneInvariant>& plane_invariants() {
@@ -583,6 +639,7 @@ const std::vector<PlaneInvariant>& plane_invariants() {
         {"sweep_recycle", "backends", inv_sweep_recycle},
         {"backend_cavity", "backends", inv_backend_cavity},
         {"serve_equivalence", "backends", inv_serve_equivalence},
+        {"extract_equivalence", "backends", inv_extract_equivalence},
     };
     return registry;
 }

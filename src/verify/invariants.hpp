@@ -15,6 +15,7 @@
 #include "circuit/netlist.hpp"
 #include "em/bem_plane.hpp"
 #include "em/solver.hpp"
+#include "extract/equivalent_circuit.hpp"
 #include "verify/scenario.hpp"
 
 namespace pgsi::verify {
@@ -41,6 +42,7 @@ struct ToleranceLadder {
     double assembly = 1e-11;      ///< cached vs direct P/L fill, rel
     double backend_z = 1e-6;      ///< direct vs iterative Z, rel
     double hmatrix = 1e-8;        ///< dense vs ACA/H-matrix Z, rel
+    double extraction = 1e-10;    ///< cycle-basis vs dense reduced Γ/C/G, rel
     double cavity = 0.25;         ///< BEM vs analytic cavity |Z|, rel
     double energy = 0.03;         ///< transient energy-balance residual, rel
     double recovery = 0.05;       ///< faulted vs golden waveform, rel of peak
@@ -69,6 +71,13 @@ double effective_capacitance(const PlaneBem& bem, std::size_t component);
 /// DC spreading resistance between two nodes of one component, from the
 /// sheet-resistance conductance Laplacian.
 double dc_path_resistance(const PlaneBem& bem, std::size_t n1, std::size_t n2);
+
+/// The dense reduction the cycle-basis extractor replaces, kept as its
+/// oracle: the all-node Γ (PlaneBem::gamma) Kron-reduced, the all-node
+/// Maxwell capacitance projected by W = [I; −Γ_ee⁻¹ Γ_ek], and (when
+/// `lossy`) schur_reduce of the all-node DC conductance. O(n³).
+ReducedMatrices dense_reduction(const PlaneBem& bem,
+                                const std::vector<std::size_t>& keep, bool lossy);
 
 // --- netlist invariants -----------------------------------------------------
 

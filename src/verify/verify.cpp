@@ -71,6 +71,7 @@ double ladder_tolerance(const ToleranceLadder& tol, const std::string& name) {
     if (name == "hmatrix_equivalence") return tol.hmatrix;
     if (name == "sweep_recycle") return tol.backend_z;
     if (name == "backend_cavity") return tol.cavity;
+    if (name == "extract_equivalence") return tol.extraction;
     if (name == "energy_balance") return tol.energy;
     if (name == "fault_recovery") return tol.recovery;
     return 0;

@@ -1,6 +1,12 @@
 // Cached (translation-invariant interaction table) vs direct BEM assembly.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
+#include <thread>
+#include <type_traits>
+#include <vector>
+
 #include "common/parallel.hpp"
 #include "em/bem_plane.hpp"
 #include "tests/test_util.hpp"
@@ -146,4 +152,52 @@ TEST(BemCache, ResultsInvariantAcrossThreadCounts) {
                                << " threads=" << threads;
         }
     }
+}
+
+TEST(BemLazy, ConcurrentFirstUseFillsEachMemberOnce) {
+    // Eight threads race to the first use of two lazily filled members that
+    // share the potential table: every thread must get the one cached
+    // object, with the bits of a serial fill.
+    const PlaneBem serial(holey_mesh(), Greens::homogeneous(4.4, true));
+    const MatrixD& want = serial.maxwell_capacitance();
+
+    const PlaneBem bem(holey_mesh(), Greens::homogeneous(4.4, true));
+    constexpr std::size_t kThreads = 8;
+    std::vector<const MatrixD*> cap(kThreads, nullptr);
+    std::vector<const InteractionOperator*> op(kThreads, nullptr);
+    std::atomic<std::size_t> ready{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            ++ready;
+            while (ready.load() < kThreads) std::this_thread::yield();
+            if (t % 2 == 0) {
+                cap[t] = &bem.maxwell_capacitance();
+                op[t] = &bem.potential_operator();
+            } else {
+                op[t] = &bem.potential_operator();
+                cap[t] = &bem.maxwell_capacitance();
+            }
+        });
+    for (std::thread& th : threads) th.join();
+
+    for (std::size_t t = 1; t < kThreads; ++t) {
+        EXPECT_EQ(cap[t], cap[0]) << "thread " << t;
+        EXPECT_EQ(op[t], op[0]) << "thread " << t;
+    }
+    ASSERT_EQ(cap[0]->rows(), want.rows());
+    EXPECT_EQ(std::memcmp(cap[0]->data(), want.data(),
+                          want.rows() * want.cols() * sizeof(double)),
+              0);
+    EXPECT_TRUE(bem.stats().potential_cached);
+    EXPECT_EQ(bem.stats().cache_entries, serial.stats().cache_entries);
+}
+
+TEST(BemLazy, MoveKeepsFilledMembers) {
+    static_assert(std::is_move_constructible_v<PlaneBem>);
+    PlaneBem bem(holey_mesh(), Greens::homogeneous(4.4, true));
+    const MatrixD* cap = &bem.maxwell_capacitance();
+    const PlaneBem moved(std::move(bem));
+    EXPECT_EQ(&moved.maxwell_capacitance(), cap);
+    EXPECT_TRUE(moved.stats().potential_cached);
 }
