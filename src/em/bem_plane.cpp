@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "numeric/cholesky.hpp"
-#include "numeric/lu.hpp"
 #include "numeric/quadrature.hpp"
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"
@@ -139,13 +138,8 @@ const MatrixD& PlaneBem::maxwell_capacitance() const {
         const MatrixD& p = potential_matrix();
         PGSI_TRACE_SCOPE("bem.invert.potential");
         PGSI_ALLOC_SCOPE("em.assembly");
-        try {
-            return Cholesky(p).inverse();
-        } catch (const NumericalError&) {
-            // Ppot can lose definiteness to quadrature error on extreme
-            // aspect-ratio meshes; fall back to a pivoted LU inverse.
-            return Lu<double>(p).inverse();
-        }
+        return spd_solve(p, MatrixD::identity(p.rows()), "bem.cholesky",
+                         "bem.lu_fallback", "maxwell_capacitance: Ppot inverse");
     });
 }
 
@@ -254,12 +248,8 @@ const MatrixD& PlaneBem::gamma() const {
         PGSI_ALLOC_SCOPE("em.assembly");
         const MatrixD a = incidence_dense();
         // X = L⁻¹ P, then Γ = Pᵀ X accumulated through the sparse incidence.
-        MatrixD x;
-        try {
-            x = Cholesky(l).solve(a);
-        } catch (const NumericalError&) {
-            x = Lu<double>(l).solve(a);
-        }
+        const MatrixD x =
+            spd_solve(l, a, "bem.cholesky", "bem.lu_fallback", "gamma: L⁻¹P");
         const std::size_t n = mesh_.node_count();
         MatrixD g(n, n);
         const auto& branches = mesh_.branches();

@@ -1,11 +1,18 @@
 // Direct frequency-domain solution of the discretized MPIE system (§3.2).
 //
 // At each frequency the full coupled system
-//     (Zs(ω) + jωL) I = P V,    Pᵀ I + jω C V = J
+//     (Zs(ω) + jωL) I = P V,    Pᵀ I + jω C V = J,    C = Ppot⁻¹
 // is solved without the equivalent-circuit reduction of §4: the only
 // approximation retained is the quasi-static (non-retarded) Green's function.
 // This is the in-house reference against which the extracted RLC macromodel
 // is validated (the role the measurement and full-wave data play in §6.1).
+//
+// Both backends eliminate the node potentials, V = Ppot (J − Pᵀ I)/jω, and
+// solve the M×M branch system (the loop/branch-space form of Zhu et al.)
+//     (Zs + jωL + P Ppot Pᵀ/jω) I = P Ppot J/jω
+// with one right-hand side per port: DirectSolver with one dense complex
+// LU per frequency, IterativeSolver matrix-free with block GMRES. Neither
+// forms C; DirectSolver::nodal_admittance stays as the node-space oracle.
 #pragma once
 
 #include <memory>
@@ -25,7 +32,7 @@ enum class SolverBackend {
               ///< path (Toeplitz on uniform lattices, ACA/H-matrix on
               ///< non-uniform meshes) and is large enough to profit;
               ///< Direct otherwise
-    Direct,   ///< dense LU per frequency (reference path)
+    Direct,   ///< dense branch-system LU per frequency (reference path)
     Iterative ///< matrix-free block GMRES (FFT or H-matrix operators),
               ///< swept by the cross-frequency sweep engine
 };
@@ -93,15 +100,18 @@ std::unique_ptr<PlaneSolver> make_solver(const PlaneBem& bem,
                                          SurfaceImpedance zs,
                                          const SolverOptions& options = {});
 
-/// Cumulative work counts of a DirectSolver across every frequency point it
-/// has processed. Wall time is in the em.solve.* spans.
+/// Cumulative work counts of a DirectSolver across every port_impedance
+/// call (sweep points included). Each frequency costs one factorization and
+/// |ports| solves. Wall time is in the em.solve.* spans.
 struct DirectSolverStats {
-    std::size_t frequencies = 0;      ///< nodal_admittance evaluations
-    std::size_t factorizations = 0;   ///< dense LU factorizations
+    std::size_t frequencies = 0;      ///< port_impedance evaluations
+    std::size_t factorizations = 0;   ///< dense M×M branch-system LUs
     std::size_t solves = 0;           ///< triangular solves (one per column)
 };
 
-/// Direct sweep solver over an assembled PlaneBem.
+/// Direct sweep solver over an assembled PlaneBem: one dense LU of the
+/// M×M branch system per frequency. Reads L and Ppot; never fills the
+/// Maxwell capacitance.
 class DirectSolver : public PlaneSolver {
 public:
     /// zs: frequency-dependent surface impedance applied to all branches
@@ -114,20 +124,26 @@ public:
 
     const char* backend_name() const override { return "direct"; }
 
-    /// Full N×N nodal admittance matrix Y(ω) = jωC + Pᵀ(Zs+jωL)⁻¹P.
+    /// Full N×N nodal admittance matrix Y(ω) = jωC + Pᵀ(Zs+jωL)⁻¹P. The
+    /// node-space oracle for port_impedance (tests, passivity checks); it
+    /// fills the Maxwell capacitance and is not counted in stats().
     MatrixC nodal_admittance(double freq_hz) const;
 
     /// Impedance matrix seen at the given mesh nodes (all other nodes open):
-    /// the port columns of Y(ω)⁻¹ restricted to the port rows, computed by a
-    /// multi-RHS solve against the |ports| unit vectors (never the full
-    /// inverse).
+    /// solves A X = B with A = Zs + jωL + S/jω, S = P Ppot Pᵀ, and
+    /// B = P Ppot E_ports (|ports| right-hand sides), then returns
+    /// Z = (Ppot[ports, ports] − BᵀX/jω)/jω. Equals the port block of
+    /// nodal_admittance(f)⁻¹ in exact arithmetic, and stays passive at low
+    /// frequencies where the node form loses the resistive part to
+    /// cancellation.
     MatrixC port_impedance(
         double freq_hz,
         const std::vector<std::size_t>& port_nodes) const override;
 
     /// Sweep: Z(f) for each frequency in freqs_hz. Frequency points are
     /// independent solves and run in parallel on the shared pgsi::par pool
-    /// (the frequency-independent BEM matrices are assembled up front).
+    /// (L and Ppot are assembled up front). Results are bit-identical at
+    /// any thread count.
     std::vector<MatrixC> sweep_impedance(
         const VectorD& freqs_hz,
         const std::vector<std::size_t>& port_nodes) const override;

@@ -6,7 +6,6 @@
 #include "common/constants.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "common/robust.hpp"
 #include "extract/reduction.hpp"
 #include "numeric/cholesky.hpp"
 #include "numeric/lu.hpp"
@@ -167,22 +166,6 @@ LoopBasis loop_basis(const RectMesh& mesh, const std::vector<std::size_t>& kept_
     return lb;
 }
 
-/// Solve A X = B for a symmetric positive-definite A. A failed Cholesky (or
-/// the extract.cholesky fault site) is recorded as a recovery, and the solve
-/// falls back to pivoted LU.
-MatrixD spd_solve(const MatrixD& a, const MatrixD& b, const char* what) {
-    try {
-        if (robust::FaultInjector::should_fire("extract.cholesky"))
-            throw NumericalError("injected fault at extract.cholesky");
-        return Cholesky(a).solve(b);
-    } catch (const NumericalError& e) {
-        robust::note_recovery(nullptr, "extract.lu_fallback",
-                              std::string(what) + ": " + e.what() +
-                                  "; solved by pivoted LU");
-        return Lu<double>(a).solve(b);
-    }
-}
-
 /// G_kk − G_ke G_ee⁻¹ G_ek of the sparse DC conductance Laplacian, with one
 /// sparse LU of G_ee and k solves.
 MatrixD reduce_conductance(const PlaneBem& bem,
@@ -302,7 +285,8 @@ ReducedMatrices CircuitExtractor::reduce(
         for (std::size_t i = 0; i < c; ++i)
             for (std::size_t j = i + 1; j < c; ++j) mz(i, j) = mz(j, i);
 
-        const MatrixD x = spd_solve(mz, b, "loop inductance"); // M⁻¹ B
+        const MatrixD x = spd_solve(mz, b, "extract.cholesky", // M⁻¹ B
+                                    "extract.lu_fallback", "loop inductance");
         red.gamma = b.transposed() * x;
         symmetrize(red.gamma);
 
@@ -332,7 +316,9 @@ ReducedMatrices CircuitExtractor::reduce(
     }
     {
         PGSI_TRACE_SCOPE("extract.capacitance");
-        const MatrixD y = spd_solve(ppot, w, "potential coefficients"); // Ppot⁻¹ W
+        const MatrixD y = spd_solve(ppot, w, "extract.cholesky", // Ppot⁻¹ W
+                                    "extract.lu_fallback",
+                                    "potential coefficients");
         red.capacitance = w.transposed() * y;
         symmetrize(red.capacitance);
     }

@@ -4,7 +4,9 @@
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "common/robust.hpp"
 #include "numeric/gemm.hpp"
+#include "numeric/lu.hpp"
 #include "obs/metrics.hpp"
 
 namespace pgsi {
@@ -229,6 +231,20 @@ bool is_spd(const MatrixD& a) {
         return true;
     } catch (const NumericalError&) {
         return false;
+    }
+}
+
+MatrixD spd_solve(const MatrixD& a, const MatrixD& b, const char* fault_site,
+                  const char* recovery_site, const char* what) {
+    try {
+        if (robust::FaultInjector::should_fire(fault_site))
+            throw NumericalError(std::string("injected fault at ") + fault_site);
+        return Cholesky(a).solve(b);
+    } catch (const NumericalError& e) {
+        robust::note_recovery(nullptr, recovery_site,
+                              std::string(what) + ": " + e.what() +
+                                  "; solved by pivoted LU");
+        return Lu<double>(a).solve(b);
     }
 }
 

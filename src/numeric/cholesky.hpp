@@ -47,4 +47,12 @@ private:
 /// True if a is symmetric positive definite (attempts a Cholesky factorization).
 bool is_spd(const MatrixD& a);
 
+/// Solve A X = B for a matrix that is symmetric positive definite in exact
+/// arithmetic; quadrature error can cost an extreme mesh its definiteness.
+/// A failed Cholesky, or an injected fault at `fault_site`, is recorded as
+/// the recovery `recovery_site` (robust::note_recovery, naming `what`), and
+/// the solve falls back to pivoted LU.
+MatrixD spd_solve(const MatrixD& a, const MatrixD& b, const char* fault_site,
+                  const char* recovery_site, const char* what);
+
 } // namespace pgsi

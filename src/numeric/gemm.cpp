@@ -41,8 +41,7 @@ void gemm_update(T alpha, const T* a, std::size_t lda, const T* b,
                 for (std::size_t p = 0; p < kb; ++p) {
                     const T aik = alpha * arow[p];
                     if (aik == T{}) continue; // sparse operands (incidence)
-                    const T* brow = packed.data() + p * n;
-                    for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
+                    axpy<false>(aik, packed.data() + p * n, crow, n);
                 }
             }
         });

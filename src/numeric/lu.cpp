@@ -74,9 +74,8 @@ Lu<T>::Lu(Matrix<T> a) : lu_(std::move(a)) {
                 const T m = lu_(i, k) / pivot;
                 lu_(i, k) = m;
                 if (m == T{}) continue;
-                const T* urow = lu_.row(k);
-                T* irow = lu_.row(i);
-                for (std::size_t j = k + 1; j < kend; ++j) irow[j] -= m * urow[j];
+                detail::axpy<true>(m, lu_.row(k) + k + 1, lu_.row(i) + k + 1,
+                                   kend - k - 1);
             }
         }
         if (kend == n) break;
@@ -90,9 +89,7 @@ Lu<T>::Lu(Matrix<T> a) : lu_(std::move(a)) {
                     for (std::size_t t = k0; t < i; ++t) {
                         const T lit = lu_(i, t);
                         if (lit == T{}) continue;
-                        const T* trow = lu_.row(t) + c0;
-                        for (std::size_t j = 0; j < nc; ++j)
-                            irow[j] -= lit * trow[j];
+                        detail::axpy<true>(lit, lu_.row(t) + c0, irow, nc);
                     }
                 }
             });
@@ -113,18 +110,14 @@ std::vector<T> Lu<T>::solve(const std::vector<T>& b) const {
     ++rhs_cols;
     std::vector<T> x(n);
     // Apply permutation and forward-substitute L y = P b.
-    for (std::size_t i = 0; i < n; ++i) {
-        T acc = b[perm_[i]];
-        const T* row = lu_.row(i);
-        for (std::size_t j = 0; j < i; ++j) acc -= row[j] * x[j];
-        x[i] = acc;
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        x[i] = detail::dot_sub(b[perm_[i]], lu_.row(i), x.data(), i);
     // Back-substitute U x = y.
     for (std::size_t ii = n; ii-- > 0;) {
-        T acc = x[ii];
         const T* row = lu_.row(ii);
-        for (std::size_t j = ii + 1; j < n; ++j) acc -= row[j] * x[j];
-        x[ii] = acc / row[ii];
+        x[ii] = detail::dot_sub(x[ii], row + ii + 1, x.data() + ii + 1,
+                                n - ii - 1) /
+                row[ii];
     }
     return x;
 }
@@ -163,8 +156,7 @@ Matrix<T> Lu<T>::solve(const Matrix<T>& b) const {
                     for (std::size_t t = k0; t < i; ++t) {
                         const T lit = lu_(i, t);
                         if (lit == T{}) continue;
-                        const T* xt = x.row(t) + j0;
-                        for (std::size_t j = 0; j < nc; ++j) xi[j] -= lit * xt[j];
+                        detail::axpy<true>(lit, x.row(t) + j0, xi, nc);
                     }
                 }
             });
@@ -184,8 +176,7 @@ Matrix<T> Lu<T>::solve(const Matrix<T>& b) const {
                     for (std::size_t t = ii + 1; t < kend; ++t) {
                         const T uit = lu_(ii, t);
                         if (uit == T{}) continue;
-                        const T* xt = x.row(t) + j0;
-                        for (std::size_t j = 0; j < nc; ++j) xi[j] -= uit * xt[j];
+                        detail::axpy<true>(uit, x.row(t) + j0, xi, nc);
                     }
                     const T diag = lu_(ii, ii);
                     for (std::size_t j = 0; j < nc; ++j) xi[j] = xi[j] / diag;

@@ -78,11 +78,11 @@ std::size_t estimated_model_bytes(const PlaneModel& model) {
     const std::size_t n = model.bem().node_count();
     const std::size_t b = model.bem().mesh().branch_count();
     const std::size_t c = model.circuit().node_count();
-    // Dominant dense payloads: potential + Maxwell capacitance (n² each),
-    // branch inductance (b²), and the extraction's reduced dense blocks
-    // (a few c² scratch/result matrices). The branch list and node arrays
-    // are charged linearly; a small constant covers mesh bookkeeping.
-    return sizeof(double) * (2 * n * n + b * b + 4 * c * c) +
+    // Dominant dense payloads: potential (n²), branch inductance (b²), and
+    // the extraction's reduced dense blocks (a few c² scratch/result
+    // matrices). The branch list and node arrays are charged linearly; a
+    // small constant covers mesh bookkeeping.
+    return sizeof(double) * (n * n + b * b + 4 * c * c) +
            sizeof(RlcBranch) * model.circuit().branches.size() + (1u << 14);
 }
 

@@ -44,8 +44,9 @@ namespace pgsi::serve {
 std::uint64_t model_key(const Board& board, const SsnModelOptions& options);
 
 /// Structural estimate of one model's resident bytes: the dense BEM
-/// interaction tables (potential n², inductance b², Maxwell capacitance n²)
-/// plus the reduced circuit's dense blocks and branch list.
+/// interaction matrices (potential n², inductance b²) plus the reduced
+/// circuit's dense blocks and branch list. No serve path fills the n²
+/// Maxwell capacitance, so it is not charged.
 std::size_t estimated_model_bytes(const PlaneModel& model);
 
 /// Process-shared LRU cache of immutable plane models. All methods are

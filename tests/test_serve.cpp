@@ -219,6 +219,20 @@ TEST(ModelCache, SharesOneModelPerGeometryAndForksOnOptions) {
     EXPECT_GT(st.bytes, 0u);
 }
 
+TEST(ModelCache, ChargesPotentialInductanceAndReducedBlocks) {
+    serve::ModelCache cache;
+    const auto model =
+        cache.acquire(parse_board_file(board_text(0)), base_spec("x", 0).model);
+    const std::size_t n = model->bem().node_count();
+    const std::size_t b = model->bem().branch_count();
+    const std::size_t c = model->circuit().node_count();
+    const std::size_t want =
+        sizeof(double) * (n * n + b * b + 4 * c * c) +
+        sizeof(RlcBranch) * model->circuit().branches.size() + (1u << 14);
+    EXPECT_EQ(serve::estimated_model_bytes(*model), want);
+    EXPECT_EQ(cache.stats().bytes, want);
+}
+
 TEST(ModelCache, EvictsLeastRecentlyUsedUnderByteBudget) {
     serve::ModelCache cache;
     const SsnModelOptions opt = base_spec("x", 0).model;
