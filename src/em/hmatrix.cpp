@@ -166,6 +166,90 @@ void recompress(AcaResult& res, double tol) {
     res.v = std::move(v2);
 }
 
+// Products of one stored block B (rows × cols, row-major, real) with
+// complex vectors:
+//   Rows: out[i] = Σ_j B(i, j)·x[j], each sum from +0 in ascending j;
+//   Cols: out_t[j] += B(i, j)·xt[i] for i ascending.
+// Both in one pass over B. These are the exact per-entry operations and
+// orders of the `Complex s{}; s += b[j] * x[j]` and `out_t[j] += b[j] * xi`
+// loops (a real times a complex scales both parts). Four rows run side by
+// side: their sums are independent chains, so the adds overlap instead of
+// each waiting on the one before.
+template <bool Rows, bool Cols>
+void block_product(const MatrixD& b, std::size_t rows, std::size_t cols,
+                   const Complex* x, Complex* out, const Complex* xt,
+                   Complex* out_t) {
+    const double* xd = reinterpret_cast<const double*>(x);
+    const double* td = reinterpret_cast<const double*>(xt);
+    double* od = reinterpret_cast<double*>(out_t);
+    std::size_t i = 0;
+    for (; i + 4 <= rows; i += 4) {
+        const double* b0 = b.row(i);
+        const double* b1 = b.row(i + 1);
+        const double* b2 = b.row(i + 2);
+        const double* b3 = b.row(i + 3);
+        double s0r = 0.0, s0i = 0.0, s1r = 0.0, s1i = 0.0;
+        double s2r = 0.0, s2i = 0.0, s3r = 0.0, s3i = 0.0;
+        double t0r = 0.0, t0i = 0.0, t1r = 0.0, t1i = 0.0;
+        double t2r = 0.0, t2i = 0.0, t3r = 0.0, t3i = 0.0;
+        if (Cols) {
+            t0r = td[2 * i], t0i = td[2 * i + 1];
+            t1r = td[2 * i + 2], t1i = td[2 * i + 3];
+            t2r = td[2 * i + 4], t2i = td[2 * i + 5];
+            t3r = td[2 * i + 6], t3i = td[2 * i + 7];
+        }
+        for (std::size_t j = 0; j < cols; ++j) {
+            if (Rows) {
+                const double xr = xd[2 * j], xi = xd[2 * j + 1];
+                s0r += b0[j] * xr;
+                s0i += b0[j] * xi;
+                s1r += b1[j] * xr;
+                s1i += b1[j] * xi;
+                s2r += b2[j] * xr;
+                s2i += b2[j] * xi;
+                s3r += b3[j] * xr;
+                s3i += b3[j] * xi;
+            }
+            if (Cols) {
+                double cr = od[2 * j], ci = od[2 * j + 1];
+                cr += b0[j] * t0r;
+                ci += b0[j] * t0i;
+                cr += b1[j] * t1r;
+                ci += b1[j] * t1i;
+                cr += b2[j] * t2r;
+                ci += b2[j] * t2i;
+                cr += b3[j] * t3r;
+                ci += b3[j] * t3i;
+                od[2 * j] = cr;
+                od[2 * j + 1] = ci;
+            }
+        }
+        if (Rows) {
+            out[i] = Complex(s0r, s0i);
+            out[i + 1] = Complex(s1r, s1i);
+            out[i + 2] = Complex(s2r, s2i);
+            out[i + 3] = Complex(s3r, s3i);
+        }
+    }
+    for (; i < rows; ++i) {
+        const double* bi = b.row(i);
+        double sr = 0.0, si = 0.0;
+        const double tr = Cols ? td[2 * i] : 0.0;
+        const double ti = Cols ? td[2 * i + 1] : 0.0;
+        for (std::size_t j = 0; j < cols; ++j) {
+            if (Rows) {
+                sr += bi[j] * xd[2 * j];
+                si += bi[j] * xd[2 * j + 1];
+            }
+            if (Cols) {
+                od[2 * j] += bi[j] * tr;
+                od[2 * j + 1] += bi[j] * ti;
+            }
+        }
+        if (Rows) out[i] = Complex(sr, si);
+    }
+}
+
 } // namespace
 
 double ClusterNode::diameter() const {
@@ -606,54 +690,31 @@ void Hmatrix::apply(const Complex* x, Complex* y) const {
         const Complex* xc = xp.data() + nc.begin;
         Complex* out_r = scratch.data() + scratch_off_[bi]; // length mr
         Complex* out_c = out_r + mr; // length mc, off-diagonal blocks only
+        const bool transposed = b.row != b.col;
+        if (transposed)
+            for (std::size_t j = 0; j < mc; ++j) out_c[j] = Complex{};
         if (b.lowrank) {
+            // U (V x_c) and, off the diagonal, (U V)ᵀ x_r = Vᵀ (Uᵀ x_r),
+            // with U's row product and Uᵀ x_r in one pass over U.
             const std::size_t rank = b.u.cols();
-            VectorC t(rank, Complex{});
-            for (std::size_t l = 0; l < rank; ++l) {
-                const double* vrow = b.v.row(l);
-                Complex s{};
-                for (std::size_t j = 0; j < mc; ++j) s += vrow[j] * xc[j];
-                t[l] = s;
+            VectorC t(rank), t2(transposed ? rank : 0, Complex{});
+            block_product<true, false>(b.v, rank, mc, xc, t.data(), nullptr,
+                                       nullptr);
+            if (transposed) {
+                block_product<true, true>(b.u, mr, rank, t.data(), out_r, xr,
+                                          t2.data());
+                block_product<false, true>(b.v, rank, mc, nullptr, nullptr,
+                                           t2.data(), out_c);
+            } else {
+                block_product<true, false>(b.u, mr, rank, t.data(), out_r,
+                                           nullptr, nullptr);
             }
-            for (std::size_t i = 0; i < mr; ++i) {
-                const double* urow = b.u.row(i);
-                Complex s{};
-                for (std::size_t l = 0; l < rank; ++l) s += urow[l] * t[l];
-                out_r[i] = s;
-            }
-            if (b.row != b.col) {
-                // Transposed contribution (U V)ᵀ x_r = Vᵀ (Uᵀ x_r).
-                VectorC t2(rank, Complex{});
-                for (std::size_t i = 0; i < mr; ++i) {
-                    const double* urow = b.u.row(i);
-                    const Complex xi = xr[i];
-                    for (std::size_t l = 0; l < rank; ++l)
-                        t2[l] += urow[l] * xi;
-                }
-                for (std::size_t j = 0; j < mc; ++j) out_c[j] = Complex{};
-                for (std::size_t l = 0; l < rank; ++l) {
-                    const double* vrow = b.v.row(l);
-                    const Complex tl = t2[l];
-                    for (std::size_t j = 0; j < mc; ++j)
-                        out_c[j] += vrow[j] * tl;
-                }
-            }
+        } else if (transposed) {
+            // Row product and transposed product in one pass over D.
+            block_product<true, true>(b.d, mr, mc, xc, out_r, xr, out_c);
         } else {
-            for (std::size_t i = 0; i < mr; ++i) {
-                const double* drow = b.d.row(i);
-                Complex s{};
-                for (std::size_t j = 0; j < mc; ++j) s += drow[j] * xc[j];
-                out_r[i] = s;
-            }
-            if (b.row != b.col) {
-                for (std::size_t j = 0; j < mc; ++j) out_c[j] = Complex{};
-                for (std::size_t i = 0; i < mr; ++i) {
-                    const double* drow = b.d.row(i);
-                    const Complex xi = xr[i];
-                    for (std::size_t j = 0; j < mc; ++j)
-                        out_c[j] += drow[j] * xi;
-                }
-            }
+            block_product<true, false>(b.d, mr, mc, xc, out_r, nullptr,
+                                       nullptr);
         }
     });
 

@@ -1,5 +1,6 @@
 #include "em/iterative_solver.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -164,12 +165,39 @@ void IterativeSolver::setup() const {
         tile_s_.resize(tiles_.size());
         par::parallel_for(tiles_.size(), [&](std::size_t ti) {
             const auto& ids = tiles_[ti];
+            // S entries combine four potential entries of the branch end
+            // nodes. Sample the tile's node × node potential block once
+            // (both (i, j) and (j, i): table entries for ±d come from
+            // separate quadratures) and combine from it, in s_entry's order.
+            std::vector<std::size_t> nodes;
+            nodes.reserve(2 * ids.size());
+            for (const std::size_t b : ids) {
+                nodes.push_back(branches[b].n1);
+                nodes.push_back(branches[b].n2);
+            }
+            std::sort(nodes.begin(), nodes.end());
+            nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+            const auto slot = [&](std::size_t node) {
+                return static_cast<std::size_t>(
+                    std::lower_bound(nodes.begin(), nodes.end(), node) -
+                    nodes.begin());
+            };
+            MatrixD pn(nodes.size(), nodes.size());
+            for (std::size_t i = 0; i < nodes.size(); ++i)
+                for (std::size_t j = 0; j < nodes.size(); ++j)
+                    pn(i, j) = pop.entry(nodes[i], nodes[j]);
+            std::vector<std::size_t> e1(ids.size()), e2(ids.size());
+            for (std::size_t r = 0; r < ids.size(); ++r) {
+                e1[r] = slot(branches[ids[r]].n1);
+                e2[r] = slot(branches[ids[r]].n2);
+            }
             MatrixD lb(ids.size(), ids.size());
             MatrixD sb(ids.size(), ids.size());
             for (std::size_t r = 0; r < ids.size(); ++r)
                 for (std::size_t c = 0; c < ids.size(); ++c) {
                     lb(r, c) = lop.entry(ids[r], ids[c]);
-                    sb(r, c) = s_entry(ids[r], ids[c]);
+                    sb(r, c) = pn(e1[r], e1[c]) - pn(e1[r], e2[c]) -
+                               pn(e2[r], e1[c]) + pn(e2[r], e2[c]);
                 }
             tile_l_[ti] = std::move(lb);
             tile_s_[ti] = std::move(sb);
@@ -211,13 +239,13 @@ MatrixC IterativeSolver::solve_ports(
     // A x = Zs.x + jw (L x) + (1/jw) P Ppot Pᵀ x, all through the operators.
     VectorC tnode(n), unode(n), wbr(m);
     const LinearOpC apply = [&](const VectorC& x, VectorC& y) {
+        PGSI_TRACE_SCOPE("em.op_apply");
         std::fill(tnode.begin(), tnode.end(), Complex{});
         for (std::size_t b = 0; b < m; ++b) {
             tnode[branches[b].n1] += x[b];
             tnode[branches[b].n2] -= x[b];
         }
-        pop.apply(tnode, unode);
-        lop.apply(x, wbr);
+        InteractionOperator::apply_pair(pop, tnode, unode, lop, x, wbr);
         y.resize(m);
         for (std::size_t b = 0; b < m; ++b)
             y[b] = zsb[b] * x[b] + jw * wbr[b] +
@@ -233,6 +261,7 @@ MatrixC IterativeSolver::solve_ports(
     auto build_precond = [&](PreconditionerKind kind) {
         if (kind == PreconditionerKind::NearFieldBlock) {
             if (tile_lu.empty()) {
+                PGSI_TRACE_SCOPE("em.precond.factor");
                 tile_lu.resize(tiles_.size());
                 par::parallel_for(tiles_.size(), [&](std::size_t ti) {
                     const auto& ids = tiles_[ti];
@@ -249,6 +278,7 @@ MatrixC IterativeSolver::solve_ports(
                 });
             }
             precond = [&](const VectorC& x, VectorC& y) {
+                PGSI_TRACE_SCOPE("em.precond.apply");
                 y.resize(m); // every branch belongs to exactly one tile
                 par::parallel_for(tiles_.size(), [&](std::size_t ti) {
                     const auto& ids = tiles_[ti];
@@ -268,6 +298,7 @@ MatrixC IterativeSolver::solve_ports(
                                      zsb[b]);
             }
             precond = [&](const VectorC& x, VectorC& y) {
+                PGSI_TRACE_SCOPE("em.precond.apply");
                 y.resize(m);
                 for (std::size_t b = 0; b < m; ++b) y[b] = dinv[b] * x[b];
             };
@@ -418,8 +449,11 @@ MatrixC IterativeSolver::solve_ports(
         // scale it so each column keeps the allowance of a one-column solve.
         GmresOptions bopt = options_.gmres;
         bopt.max_iterations *= pend.size();
-        const BlockGmresResult br =
-            block_gmres(apply, bcols, xcols, bopt, precond);
+        BlockGmresResult br;
+        {
+            PGSI_TRACE_SCOPE("em.gmres");
+            br = block_gmres(apply, bcols, xcols, bopt, precond);
+        }
         ++block_solves;
         solves_attempted += pend.size();
         iters += br.iterations;

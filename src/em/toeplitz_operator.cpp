@@ -1,10 +1,13 @@
 #include "em/toeplitz_operator.hpp"
 
+#include <algorithm>
+#include <cstddef>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "em/hmatrix.hpp"
+#include "numeric/gemm.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -24,6 +27,7 @@ ToeplitzFamily::ToeplitzFamily(Lattice lat, std::vector<double> table)
       nx_(grid_dim(lat_.span_x)),
       ny_(grid_dim(lat_.span_y)),
       nz_(lat_.zs.empty() ? 1 : lat_.zs.size()),
+      cols_(static_cast<std::size_t>(lat_.span_x) + 1),
       fx_(nx_),
       fy_(ny_) {
     PGSI_REQUIRE(lat_.uniform, "ToeplitzFamily: lattice is not uniform");
@@ -33,10 +37,12 @@ ToeplitzFamily::ToeplitzFamily(Lattice lat, std::vector<double> table)
     PGSI_TRACE_SCOPE("toeplitz.family_setup");
 
     site_.resize(lat_.count());
+    live_rows_.assign(lat_.zs.size(), std::vector<unsigned char>(ny_, 0));
     for (std::size_t e = 0; e < lat_.count(); ++e) {
         const std::size_t gx = static_cast<std::size_t>(lat_.ix[e] - lat_.min_x);
         const std::size_t gy = static_cast<std::size_t>(lat_.iy[e] - lat_.min_y);
         site_[e] = gy * nx_ + gx;
+        live_rows_[static_cast<std::size_t>(lat_.zid[e])][gy] = 1;
     }
 
     // One circulant kernel spectrum per ordered (z_obs, z_src) layer pair.
@@ -74,20 +80,30 @@ void ToeplitzFamily::apply(const Complex* x, Complex* y) const {
     for (std::size_t e = 0; e < count; ++e)
         ghat[static_cast<std::size_t>(lat_.zid[e])][site_[e]] = x[e];
     for (std::size_t zs = 0; zs < nz; ++zs)
-        fft_2d(ghat[zs].data(), ny_, nx_, fy_, fx_, false);
+        fft_2d(ghat[zs].data(), ny_, nx_, fy_, fx_, false,
+               live_rows_[zs].data());
 
     VectorC acc(cells);
     for (std::size_t zo = 0; zo < nz; ++zo) {
-        // acc_hat = sum_zs K_hat(zo, zs) .* g_hat(zs), then back-transform.
-        par::parallel_for_chunked(cells, 0, [&](std::size_t b, std::size_t e) {
-            for (std::size_t k = b; k < e; ++k) {
-                Complex s{};
-                for (std::size_t zs = 0; zs < nz; ++zs)
-                    s += kernel_hat_[zo * nz + zs][k] * ghat[zs][k];
-                acc[k] = s;
+        // acc_hat = sum_zs K_hat(zo, zs) .* g_hat(zs), accumulated from +0
+        // in zs order, then back-transformed.
+        const auto multiply = [&](std::size_t b, std::size_t e) {
+            std::fill(acc.begin() + static_cast<std::ptrdiff_t>(b),
+                      acc.begin() + static_cast<std::ptrdiff_t>(e), Complex{});
+            double* a = reinterpret_cast<double*>(acc.data());
+            for (std::size_t zs = 0; zs < nz; ++zs) {
+                const Complex* kh = kernel_hat_[zo * nz + zs].data();
+                const double* g = reinterpret_cast<const double*>(ghat[zs].data());
+                for (std::size_t k = b; k < e; ++k)
+                    detail::complex_madd<false>(a + 2 * k, kh[k].real(),
+                                                kh[k].imag(), g + 2 * k);
             }
-        });
-        fft_2d(acc.data(), ny_, nx_, fy_, fx_, true);
+        };
+        if (splits())
+            par::parallel_for_chunked(cells, 0, multiply);
+        else
+            multiply(0, cells);
+        fft_2d(acc.data(), ny_, nx_, fy_, fx_, true, nullptr, cols_);
         for (std::size_t e = 0; e < count; ++e)
             if (static_cast<std::size_t>(lat_.zid[e]) == zo) y[e] = acc[site_[e]];
     }
@@ -161,6 +177,70 @@ InteractionOperator InteractionOperator::dense(const MatrixD* m) {
 }
 
 void InteractionOperator::apply(const VectorC& x, VectorC& y) const {
+    apply_pair(*this, x, y, nullptr, nullptr, nullptr);
+}
+
+void InteractionOperator::apply_pair(const InteractionOperator& a,
+                                     const VectorC& xa, VectorC& ya,
+                                     const InteractionOperator& b,
+                                     const VectorC& xb, VectorC& yb) {
+    apply_pair(a, xa, ya, &b, &xb, &yb);
+}
+
+bool InteractionOperator::family_tasks() const {
+    if (dense_ || !hmats_.empty()) return false;
+    for (const ToeplitzFamily& fam : families_)
+        if (fam.splits()) return false;
+    return true;
+}
+
+void InteractionOperator::apply_family(std::size_t f, const VectorC& x,
+                                       VectorC& y) const {
+    const std::vector<std::size_t>& map = idx_[f];
+    VectorC xf(map.size()), yf(map.size(), Complex{});
+    for (std::size_t e = 0; e < map.size(); ++e) xf[e] = x[map[e]];
+    families_[f].apply(xf.data(), yf.data());
+    for (std::size_t e = 0; e < map.size(); ++e) y[map[e]] = yf[e];
+}
+
+void InteractionOperator::apply_pair(const InteractionOperator& a,
+                                     const VectorC& xa, VectorC& ya,
+                                     const InteractionOperator* b,
+                                     const VectorC* xb, VectorC* yb) {
+    // Toeplitz forms on grids that fit one chunk: every family of both
+    // operators is one task of a single dispatch (families write disjoint
+    // entries). Anything else applies operator by operator.
+    if (a.family_tasks() && (!b || b->family_tasks())) {
+        static obs::Counter& c_fft =
+            obs::counter("interaction_op.fft_applies");
+        const InteractionOperator* ops[2] = {&a, b};
+        const VectorC* xs[2] = {&xa, xb};
+        VectorC* ys[2] = {&ya, yb};
+        for (int k = 0; k < (b ? 2 : 1); ++k) {
+            PGSI_REQUIRE(xs[k]->size() == ops[k]->size_,
+                         "InteractionOperator: size mismatch");
+            ys[k]->assign(ops[k]->size_, Complex{});
+            ++c_fft;
+        }
+        const std::size_t na = a.families_.size();
+        const std::size_t tasks = na + (b ? b->families_.size() : 0);
+        const auto task = [&](std::size_t t) {
+            if (t < na)
+                a.apply_family(t, xa, ya);
+            else
+                b->apply_family(t - na, *xb, *yb);
+        };
+        if (tasks > 1)
+            par::parallel_for(tasks, task);
+        else if (tasks == 1)
+            task(0);
+        return;
+    }
+    a.apply_one(xa, ya);
+    if (b) b->apply_one(*xb, *yb);
+}
+
+void InteractionOperator::apply_one(const VectorC& x, VectorC& y) const {
     PGSI_REQUIRE(x.size() == size_, "InteractionOperator: size mismatch");
     y.assign(size_, Complex{});
     if (dense_) {
@@ -190,17 +270,11 @@ void InteractionOperator::apply(const VectorC& x, VectorC& y) const {
         }
         return;
     }
+    // Toeplitz families whose grids split their transforms over the pool
+    // take it one family at a time.
     static obs::Counter& c_fft = obs::counter("interaction_op.fft_applies");
     ++c_fft;
-    VectorC xf, yf;
-    for (std::size_t f = 0; f < families_.size(); ++f) {
-        const std::vector<std::size_t>& map = idx_[f];
-        xf.resize(map.size());
-        yf.assign(map.size(), Complex{});
-        for (std::size_t e = 0; e < map.size(); ++e) xf[e] = x[map[e]];
-        families_[f].apply(xf.data(), yf.data());
-        for (std::size_t e = 0; e < map.size(); ++e) y[map[e]] = yf[e];
-    }
+    for (std::size_t f = 0; f < families_.size(); ++f) apply_family(f, x, y);
 }
 
 double InteractionOperator::entry(std::size_t i, std::size_t j) const {

@@ -16,7 +16,17 @@
 //
 // per layer pair: O(N log N) work and O(grid) memory. Meshes with holes or
 // irregular outlines simply leave grid sites unoccupied. The result equals
-// the dense product up to FFT rounding (~1e-14 relative).
+// the dense product up to FFT rounding (~1e-14 relative). The forward
+// transform skips the grid rows no element occupies, and the inverse column
+// pass stops at the last occupied column; both leave every gathered value
+// bitwise unchanged.
+//
+// One operator application is one pool dispatch: on grids whose transforms
+// fit in one chunk, each family applies serially on its own task, so the
+// x- and y-directed current families of L run side by side (apply_pair
+// runs P's family beside them in the same dispatch). A family whose grid
+// is large enough to split instead spreads its row and column chunks over
+// the whole pool, one family after another.
 //
 // InteractionOperator is the uniform front the solvers consume: it applies
 // either a set of Toeplitz element families (x/y current cells are separate,
@@ -54,11 +64,19 @@ public:
     /// Grid memory (complex entries) one application allocates.
     std::size_t grid_size() const { return nx_ * ny_ * lat_.zs.size(); }
 
+    /// True when one application splits its transforms over the pool;
+    /// false when it runs entirely on the calling thread.
+    bool splits() const { return count() > 0 && fft_2d_splits(ny_, nx_); }
+
 private:
     Lattice lat_;
     std::vector<double> table_;
     std::size_t nx_ = 1, ny_ = 1, nz_ = 1;
+    std::size_t cols_ = 1;            ///< grid columns holding elements
     std::vector<std::size_t> site_;   ///< element → grid slot
+    /// Per source layer, the grid rows holding an element of that layer:
+    /// the other rows of its scattered grid are zero.
+    std::vector<std::vector<unsigned char>> live_rows_;
     std::vector<VectorC> kernel_hat_; ///< spectra, indexed zo * nz + zsrc
     Fft fx_, fy_;
 };
@@ -96,11 +114,28 @@ public:
     /// y = A x (y is resized and overwritten).
     void apply(const VectorC& x, VectorC& y) const;
 
+    /// ya = A xa and yb = B xb, bitwise the two apply() calls. When both
+    /// are Toeplitz forms whose grids fit one chunk, every family of both
+    /// runs as one task of a single pool dispatch (the P and L applies of
+    /// the iterative solver); otherwise A, then B.
+    static void apply_pair(const InteractionOperator& a, const VectorC& xa,
+                           VectorC& ya, const InteractionOperator& b,
+                           const VectorC& xb, VectorC& yb);
+
     /// Exact matrix entry (table lookup or dense read).
     double entry(std::size_t i, std::size_t j) const;
 
 private:
     InteractionOperator() = default;
+
+    static void apply_pair(const InteractionOperator& a, const VectorC& xa,
+                           VectorC& ya, const InteractionOperator* b,
+                           const VectorC* xb, VectorC* yb);
+    /// Toeplitz form whose families each run serially (one task apiece).
+    bool family_tasks() const;
+    /// y[idx_[f]] = T_f x[idx_[f]] for Toeplitz family f.
+    void apply_family(std::size_t f, const VectorC& x, VectorC& y) const;
+    void apply_one(const VectorC& x, VectorC& y) const;
 
     std::size_t size_ = 0;
     const MatrixD* dense_ = nullptr;

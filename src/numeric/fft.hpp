@@ -14,10 +14,21 @@
 //     convolution (size >= 2n-1) and is exact for prime n.
 //
 // A plan object (Fft) owns the tables for one size; transforms are
-// in-place, serial and allocation-free on the power-of-two path, so results
-// are bitwise independent of thread count — each worker transforms whole
-// rows/columns. Forward uses the e^{-2*pi*i*jk/n} kernel; inverse includes
-// the 1/n normalization.
+// in-place, serial and allocation-free on the power-of-two path. The radix-2
+// butterfly is written out in real arithmetic, (ur + vr, ui + vi) with
+// v = x·w = (xr·wr − xi·wi, xr·wi + xi·wr): the exact expression
+// std::complex evaluates, without its NaN-recovery branch, so results are
+// bitwise those of the std::complex loop on finite data. Forward uses the
+// e^{-2*pi*i*jk/n} kernel; inverse includes the 1/n normalization.
+//
+// fft_2d transforms a row-major grid rows first, then columns. The column
+// pass runs each radix-2 butterfly over a whole row segment (contiguous and
+// vectorisable, no strided copies), and rows known to be zero are skipped
+// where that leaves every bit of the result unchanged. A pass whose work
+// exceeds one chunk splits into whole-row or whole-column-block chunks over
+// the pgsi::par pool; a smaller pass (a 64 × 64 grid) runs on the calling
+// thread with no dispatch. Each element's arithmetic is independent of the
+// partition, so results are bitwise identical at any thread count.
 #pragma once
 
 #include <memory>
@@ -45,10 +56,25 @@ public:
     /// True when this plan runs the radix-2 path (no Bluestein scratch).
     bool radix2() const { return blue_ == nullptr; }
 
+    /// In-place transform of the columns [c0, c1) of the row-major grid
+    /// data[size()][ld]: each column receives exactly the arithmetic of
+    /// forward()/inverse() on a copy of it. On the radix-2 path every
+    /// butterfly runs over the row segment [c0, c1); other sizes copy each
+    /// column out and back. `live`, when non-null, flags the rows that may
+    /// be nonzero: the other rows must hold +0 in [c0, c1), and the radix-2
+    /// path skips each butterfly whose two inputs are such rows (its outputs
+    /// would be +0).
+    void transform_columns(Complex* data, std::size_t ld, std::size_t c0,
+                           std::size_t c1, bool inverse,
+                           const unsigned char* live = nullptr) const;
+
 private:
     struct Bluestein;
 
     void radix2_transform(Complex* data, bool inv) const;
+    void radix2_columns(Complex* data, std::size_t ld, std::size_t c0,
+                        std::size_t c1, bool inv,
+                        const unsigned char* live) const;
     void bluestein_forward(Complex* data) const;
 
     std::size_t n_ = 1;
@@ -65,10 +91,19 @@ VectorC fft(VectorC data);
 VectorC ifft(VectorC data);
 
 /// In-place 2-D transform of row-major data[ny][nx] using prebuilt row and
-/// column plans (fx.size() == nx, fy.size() == ny). Rows and columns are
-/// distributed over the pgsi::par pool; each 1-D transform runs serially on
-/// one worker, so results are bitwise identical at any thread count.
+/// column plans (fx.size() == nx, fy.size() == ny): every row, then every
+/// column, each with the arithmetic of the 1-D plans. `live_rows`, when
+/// non-null, flags the rows that may be nonzero; the others must hold +0
+/// (their transforms are skipped where that is exact). `out_cols` limits the
+/// column pass to columns [0, out_cols), for callers that read only those;
+/// the other columns are left as the row pass wrote them.
 void fft_2d(Complex* data, std::size_t ny, std::size_t nx, const Fft& fy,
-            const Fft& fx, bool inverse);
+            const Fft& fx, bool inverse,
+            const unsigned char* live_rows = nullptr,
+            std::size_t out_cols = static_cast<std::size_t>(-1));
+
+/// True when fft_2d splits a pass over an ny × nx grid into several pool
+/// chunks; false when the whole transform runs on the calling thread.
+bool fft_2d_splits(std::size_t ny, std::size_t nx);
 
 } // namespace pgsi

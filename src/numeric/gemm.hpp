@@ -77,6 +77,26 @@ inline std::complex<double> dot_sub(std::complex<double> acc,
     return {c[0], c[1]};
 }
 
+/// Σ conj(a[j])·x[j], accumulated in index order from +0: bitwise the
+/// std::complex loop `s += std::conj(a[j]) * x[j]`. With a = ar + j·ai the
+/// product conj(a)·x is (ar·xr − (−ai)·xi, ar·xi + (−ai)·xr), and
+/// negating a factor only flips the sign of a product, so the two parts are
+/// exactly ar·xr + ai·xi and ar·xi − ai·xr.
+inline std::complex<double> dotc(const std::complex<double>* a,
+                                 const std::complex<double>* x,
+                                 std::size_t n) {
+    const double* ad = reinterpret_cast<const double*>(a);
+    const double* xd = reinterpret_cast<const double*>(x);
+    double sr = 0.0, si = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+        const double ar = ad[2 * j], ai = ad[2 * j + 1];
+        const double xr = xd[2 * j], xi = xd[2 * j + 1];
+        sr += ar * xr + ai * xi;
+        si += ar * xi - ai * xr;
+    }
+    return {sr, si};
+}
+
 /// C += alpha * A * B (shapes m×k · k×n, row-major, leading dimensions
 /// lda/ldb/ldc). Safe to call from inside a parallel region (runs inline).
 template <class T>

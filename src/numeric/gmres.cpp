@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/robust.hpp"
+#include "numeric/gemm.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stream.hpp"
 
@@ -98,11 +99,8 @@ BlockGmresResult block_gmres(const LinearOpC& a, const std::vector<VectorC>& b,
             y[i] = acc / h[i][i];
         }
         VectorC dx(n, Complex{});
-        for (std::size_t j = 0; j < k; ++j) {
-            const Complex yj = y[j];
-            const VectorC& vj = v[j];
-            for (std::size_t i = 0; i < n; ++i) dx[i] += yj * vj[i];
-        }
+        for (std::size_t j = 0; j < k; ++j)
+            detail::axpy<false>(y[j], v[j].data(), dx.data(), n);
         VectorC& xc = x[col];
         if (precond) {
             precond(dx, z);
@@ -159,7 +157,7 @@ BlockGmresResult block_gmres(const LinearOpC& a, const std::vector<VectorC>& b,
             if (done[i] || i == seed) continue;
             riding[i] = true;
             chat[i].assign(m + 1, Complex{});
-            chat[i][0] = dot(v[0], r[i]);
+            chat[i][0] = detail::dotc(v[0].data(), r[i].data(), n);
             sumsq[i] = std::norm(chat[i][0]);
         }
         auto column_estimate = [&](std::size_t i, std::size_t k) {
@@ -181,12 +179,13 @@ BlockGmresResult block_gmres(const LinearOpC& a, const std::vector<VectorC>& b,
             ++res.matvecs;
             ++res.iterations;
             double hcol2 = 0.0; // |A M^{-1} v_j|^2, for the exhaustion guard
+            // Modified Gram-Schmidt through the multiply-add kernels
+            // (bitwise the std::complex loops, without their NaN branch).
             for (std::size_t i = 0; i <= j; ++i) {
-                const Complex hij = dot(v[i], w);
+                const Complex hij = detail::dotc(v[i].data(), w.data(), n);
                 h[i][j] = hij;
                 hcol2 += std::norm(hij);
-                const VectorC& vi = v[i];
-                for (std::size_t t = 0; t < n; ++t) w[t] -= hij * vi[t];
+                detail::axpy<true>(hij, v[i].data(), w.data(), n);
             }
             const double hnext = norm2(w);
             hcol2 += hnext * hnext;
@@ -228,7 +227,8 @@ BlockGmresResult block_gmres(const LinearOpC& a, const std::vector<VectorC>& b,
                 // triangularized the seed's Hessenberg column.
                 for (std::size_t i = 0; i < p; ++i) {
                     if (!riding[i]) continue;
-                    const Complex raw = dot(v.back(), r[i]);
+                    const Complex raw =
+                        detail::dotc(v.back().data(), r[i].data(), n);
                     sumsq[i] += std::norm(raw);
                     const Complex t0 = chat[i][j];
                     chat[i][j] = cs[j] * t0 + sn[j] * raw;

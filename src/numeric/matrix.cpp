@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "numeric/gemm.hpp"
+
 namespace pgsi {
 
 double norm2(const VectorD& v) {
@@ -37,9 +39,7 @@ double dot(const VectorD& a, const VectorD& b) {
 
 Complex dot(const VectorC& a, const VectorC& b) {
     PGSI_REQUIRE(a.size() == b.size(), "dot: size mismatch");
-    Complex s{};
-    for (std::size_t i = 0; i < a.size(); ++i) s += std::conj(a[i]) * b[i];
-    return s;
+    return detail::dotc(a.data(), b.data(), a.size());
 }
 
 void axpy(double s, const VectorD& x, VectorD& y) {

@@ -136,3 +136,78 @@ TEST(Fft, TwoDimensionalBitwiseInvariantAcrossThreadCounts) {
             EXPECT_EQ(got[i], base[i]) << "thread count " << threads;
     }
 }
+
+namespace {
+
+// Row-major ny × nx grid: random values in the rows flagged in `live`, +0
+// in the others.
+VectorC grid_with_zero_rows(std::size_t ny, std::size_t nx,
+                            const std::vector<unsigned char>& live,
+                            unsigned seed) {
+    VectorC g = random_signal(ny * nx, seed);
+    for (std::size_t r = 0; r < ny; ++r)
+        if (!live[r])
+            for (std::size_t c = 0; c < nx; ++c) g[r * nx + c] = Complex{};
+    return g;
+}
+
+// fft_2d's arithmetic spelled out with the 1-D plans: every row, then every
+// column [0, cols) copied out, transformed and copied back.
+VectorC rows_then_columns(VectorC g, std::size_t ny, std::size_t nx,
+                          const Fft& fy, const Fft& fx, bool inverse,
+                          std::size_t cols) {
+    for (std::size_t r = 0; r < ny; ++r) {
+        if (inverse)
+            fx.inverse(g.data() + r * nx);
+        else
+            fx.forward(g.data() + r * nx);
+    }
+    VectorC col(ny);
+    for (std::size_t c = 0; c < cols; ++c) {
+        for (std::size_t r = 0; r < ny; ++r) col[r] = g[r * nx + c];
+        if (inverse)
+            fy.inverse(col.data());
+        else
+            fy.forward(col.data());
+        for (std::size_t r = 0; r < ny; ++r) g[r * nx + c] = col[r];
+    }
+    return g;
+}
+
+} // namespace
+
+// The row-segment column butterflies, the zero-row skipping and the
+// column-limited inverse must reproduce the per-row and per-column 1-D
+// transforms bit for bit: on radix-2 and Bluestein sizes, and on a grid
+// large enough to split into pool chunks.
+TEST(Fft, TwoDimensionalEqualsOneDimensionalPlansBitForBit) {
+    pgsi::test::ScopedThreadCount pin(4);
+    const std::pair<std::size_t, std::size_t> shapes[] = {
+        {64, 64}, {16, 32}, {32, 8}, {12, 16}, {16, 12}, {1, 8}, {256, 128}};
+    unsigned seed = 100;
+    for (const auto& [ny, nx] : shapes) {
+        const Fft fy(ny), fx(nx);
+        std::mt19937 rng(seed);
+        std::vector<unsigned char> live(ny);
+        for (std::size_t r = 0; r < ny; ++r) live[r] = (r < ny / 3) || rng() % 4 == 0;
+        for (const bool inverse : {false, true}) {
+            for (const std::size_t cols : {nx, nx / 2 + 1}) {
+                const VectorC g = grid_with_zero_rows(ny, nx, live, ++seed);
+                const VectorC want =
+                    rows_then_columns(g, ny, nx, fy, fx, inverse, cols);
+                VectorC got = g;
+                fft_2d(got.data(), ny, nx, fy, fx, inverse, live.data(), cols);
+                VectorC plain = g;
+                fft_2d(plain.data(), ny, nx, fy, fx, inverse, nullptr, cols);
+                for (std::size_t i = 0; i < got.size(); ++i) {
+                    ASSERT_TRUE(pgsi::test::same_bits(got[i], want[i]))
+                        << ny << "x" << nx << " inverse " << inverse
+                        << " cols " << cols << " i " << i;
+                    ASSERT_TRUE(pgsi::test::same_bits(plain[i], want[i]))
+                        << ny << "x" << nx << " inverse " << inverse
+                        << " cols " << cols << " i " << i;
+                }
+            }
+        }
+    }
+}

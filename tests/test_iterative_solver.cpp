@@ -5,6 +5,7 @@
 #include "common/parallel.hpp"
 #include "common/robust.hpp"
 #include "em/iterative_solver.hpp"
+#include "obs/trace.hpp"
 #include "tests/test_util.hpp"
 #include "em/solver.hpp"
 
@@ -509,5 +510,56 @@ TEST(IterativeSolver, ConcurrentPortImpedanceMatchesSerialBitForBit) {
                             << np << " ports, f = " << kRefFreqs[i];
             }
         }
+    }
+}
+
+// The sweep's library spans: block GMRES, the A(ω) applies and the
+// preconditioner solves inside it, and the tile factorizations, all under
+// em.solve.sweep. Recording them must not move a bit of Z.
+TEST(IterativeSolver, SweepSpansNestAndLeaveZUnchanged) {
+    const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
+    for (const bool hmatrix : {false, true}) {
+        const PlaneBem bem = operator_path_bem(hmatrix);
+        const std::vector<std::size_t> ports = operator_path_ports(bem, 2);
+        const SolverOptions opt = operator_path_options(hmatrix);
+        obs::set_trace_enabled(false);
+        const std::vector<MatrixC> plain =
+            IterativeSolver(bem, zs, opt).sweep_impedance(kRefFreqs, ports);
+
+        obs::set_trace_enabled(true);
+        obs::reset_trace();
+        const std::vector<MatrixC> traced =
+            IterativeSolver(bem, zs, opt).sweep_impedance(kRefFreqs, ports);
+        const std::vector<obs::SpanTotal> totals = obs::span_totals();
+        obs::set_trace_enabled(false);
+        obs::reset_trace();
+
+        const auto count = [&](const std::string& suffix) {
+            std::size_t n = 0;
+            for (const obs::SpanTotal& t : totals)
+                if (t.path.size() >= suffix.size() &&
+                    t.path.compare(t.path.size() - suffix.size(),
+                                   suffix.size(), suffix) == 0)
+                    n += t.count;
+            return n;
+        };
+        EXPECT_EQ(count("em.solve.sweep/em.gmres"), kRefFreqs.size());
+        EXPECT_GT(count("em.solve.sweep/em.gmres/em.op_apply"), 0u);
+        EXPECT_GT(count("em.solve.sweep/em.gmres/em.precond.apply"), 0u);
+        EXPECT_EQ(count("em.solve.sweep/em.precond.factor"), kRefFreqs.size());
+        // Every A(ω) apply and every preconditioner solve is a GMRES one.
+        EXPECT_EQ(count("em.op_apply"),
+                  count("em.solve.sweep/em.gmres/em.op_apply"));
+        EXPECT_EQ(count("em.precond.apply"),
+                  count("em.solve.sweep/em.gmres/em.precond.apply"));
+
+        ASSERT_EQ(traced.size(), plain.size());
+        for (std::size_t i = 0; i < plain.size(); ++i)
+            for (std::size_t r = 0; r < 2; ++r)
+                for (std::size_t k = 0; k < 2; ++k)
+                    EXPECT_TRUE(pgsi::test::same_bits(traced[i](r, k),
+                                                      plain[i](r, k)))
+                        << (hmatrix ? "H-matrix" : "Toeplitz") << " f "
+                        << kRefFreqs[i];
     }
 }

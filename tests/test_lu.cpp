@@ -7,6 +7,8 @@
 #include "tests/test_util.hpp"
 
 using namespace pgsi;
+using pgsi::test::digest;
+using pgsi::test::same_bits;
 
 TEST(Lu, Solve2x2) {
     const MatrixD a{{2, 1}, {1, 3}};
@@ -201,10 +203,6 @@ TEST(Lu, SolveCountersDistinguishCallsFromColumns) {
 
 namespace {
 
-bool same_bits(const Complex& a, const Complex& b) {
-    return std::memcmp(&a, &b, sizeof(Complex)) == 0;
-}
-
 // Finite doubles drawn across the awkward corners of the format: signed
 // zeros, subnormals, magnitudes whose products overflow or underflow, and
 // ordinary values.
@@ -275,22 +273,27 @@ TEST(ComplexKernel, DotSubMatchesStdComplexBitForBit) {
         }
 }
 
-namespace {
-
-// FNV-1a over the %.17g rendering of every real and imaginary part.
-std::uint64_t digest(const std::vector<Complex>& v) {
-    std::uint64_t h = 1469598103934665603ull;
-    char buf[64];
-    for (const Complex& z : v) {
-        const int len = std::snprintf(buf, sizeof buf, "%.17g,%.17g;",
-                                      z.real(), z.imag());
-        for (int i = 0; i < len; ++i) {
-            h ^= static_cast<unsigned char>(buf[i]);
-            h *= 1099511628211ull;
-        }
+TEST(ComplexKernel, DotcMatchesStdComplexBitForBit) {
+    const std::vector<Complex> a = awkward_complex(7, 512);
+    const std::vector<Complex> x = awkward_complex(8, 512);
+    for (const std::size_t n : {0u, 1u, 7u, 64u, 512u}) {
+        Complex want{};
+        for (std::size_t j = 0; j < n; ++j) want += std::conj(a[j]) * x[j];
+        ASSERT_TRUE(same_bits(detail::dotc(a.data(), x.data(), n), want))
+            << "n=" << n;
     }
-    return h;
+    // Sub-ranges start the accumulation anywhere in the awkward values.
+    for (std::size_t off = 0; off < 64; ++off) {
+        Complex want{};
+        for (std::size_t j = off; j < off + 100; ++j)
+            want += std::conj(a[j]) * x[j];
+        ASSERT_TRUE(
+            same_bits(detail::dotc(a.data() + off, x.data() + off, 100), want))
+            << "off=" << off;
+    }
 }
+
+namespace {
 
 std::vector<Complex> entries(const MatrixC& m) {
     std::vector<Complex> v;

@@ -2,12 +2,38 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <vector>
 
 #include "circuit/netlist.hpp"
 #include "common/parallel.hpp"
+#include "numeric/matrix.hpp"
 #include "si/cosim.hpp"
 
 namespace pgsi::test {
+
+// Bitwise equality (tells -0 from +0, unlike operator==).
+inline bool same_bits(const Complex& a, const Complex& b) {
+    return std::memcmp(&a, &b, sizeof(Complex)) == 0;
+}
+
+// FNV-1a over the %.17g rendering of every real and imaginary part: a
+// compact record of a complex result that any change of one bit moves.
+inline std::uint64_t digest(const std::vector<Complex>& v) {
+    std::uint64_t h = 1469598103934665603ull;
+    char buf[64];
+    for (const Complex& z : v) {
+        const int len = std::snprintf(buf, sizeof buf, "%.17g,%.17g;",
+                                      z.real(), z.imag());
+        for (int i = 0; i < len; ++i) {
+            h ^= static_cast<unsigned char>(buf[i]);
+            h *= 1099511628211ull;
+        }
+    }
+    return h;
+}
 
 // Pins the pool thread count for the lifetime of the guard and restores the
 // automatic default on destruction. Exception-safe: a failing ASSERT or a
