@@ -109,15 +109,17 @@ public:
                 const std::lock_guard<std::mutex> lock(mu_);
                 job_ = &job;
                 ++generation_;
-                workers_done_ = 0;
             }
             work_cv_.notify_all();
             t_in_region = true;
             run_chunks_timed(job, 0, account);
             t_in_region = false;
+            // Every chunk is claimed once the caller's own loop returns.
+            // Retire the job so late wakers skip it, then wait only for the
+            // workers that joined: they may still be running a chunk.
             std::unique_lock<std::mutex> lock(mu_);
-            done_cv_.wait(lock, [&] { return workers_done_ == nworkers; });
             job_ = nullptr;
+            done_cv_.wait(lock, [&] { return joined_ == 0; });
         } else {
             t_in_region = true;
             run_chunks_timed(job, 0, account);
@@ -219,9 +221,11 @@ private:
     }
 
     // seen starts at the generation captured when this worker was spawned
-    // (no job can be in flight then — reconfiguration holds region_mu_).
-    // generation_ outlives reconfiguration, so starting from zero would make
-    // a fresh worker mistake an already-retired job_ (nullptr) for new work.
+    // (no job can be in flight then — reconfiguration holds region_mu_), so
+    // a fresh worker does not wake for a job retired before it existed. A
+    // worker joins a job only while job_ is set, counting itself in joined_
+    // under mu_; the caller retires job_ before waiting on that count, so a
+    // worker that wakes late never touches the caller's stack Job.
     void worker_loop(std::uint64_t seen, std::size_t slot) {
         obs::set_thread_name("par.worker-" + std::to_string(slot));
         for (;;) {
@@ -233,13 +237,15 @@ private:
                 if (stop_) return;
                 seen = generation_;
                 job = job_;
+                if (job == nullptr) continue; // retired before we woke
+                ++joined_;
             }
             t_in_region = true;
             run_chunks_timed(*job, slot, obs::resources_enabled());
             t_in_region = false;
             {
                 const std::lock_guard<std::mutex> lock(mu_);
-                ++workers_done_;
+                if (--joined_ != 0) continue;
             }
             done_cv_.notify_one();
         }
@@ -262,7 +268,7 @@ private:
     std::condition_variable done_cv_;
     Job* job_ = nullptr;
     std::uint64_t generation_ = 0;
-    std::size_t workers_done_ = 0;
+    std::size_t joined_ = 0; // workers running the current job_
     bool stop_ = false;
 };
 

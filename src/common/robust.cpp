@@ -83,7 +83,6 @@ RecoveryOptions escalate_one_rung(const RecoveryOptions& base) {
     r.gmin_steps = base.gmin_steps + 4;
     r.gmin_start = std::min(1e-1, base.gmin_start * 10);
     r.source_steps = base.source_steps * 2;
-    r.allow_precond_escalation = true;
     return r;
 }
 

@@ -15,8 +15,8 @@
 //      - transient: Newton divergence → backward-Euler retry → timestep cut
 //        (factor `timestep_cut_factor`, up to `max_timestep_cuts` levels);
 //      - DC operating point: gmin stepping, then source ramping;
-//      - iterative EM solver: preconditioner escalation Diagonal →
-//        NearFieldBlock → dense-LU fallback.
+//      - iterative EM solver: dense-LU fallback for a frequency whose
+//        GMRES solve stalls.
 //  * RecoveryReport — per-run record of every recovery taken, surfaced on
 //    TransientResult / PartitionedCosim::Result so callers can see that a
 //    result was rescued (and how) without scraping logs. Every recovery is
@@ -29,8 +29,8 @@
 //    deadline, threaded through RecoveryOptions (and therefore through
 //    SolverOptions / TransientOptions) so a batch engine can abandon a
 //    stuck GMRES sweep or transient without killing the process. Engines
-//    poll at their natural boundaries (per frequency, per GMRES column,
-//    per time step) and throw pgsi::Cancelled.
+//    poll at their natural boundaries (per frequency, per time step) and
+//    throw pgsi::Cancelled.
 //  * FaultInjector — deterministic fault injection compiled into the
 //    library. `PGSI_FAULT=<site>:<nth>[:<count>]` (comma-separated list) or
 //    the programmatic arm() force a failure at the N-th call of a site, so
@@ -131,28 +131,24 @@ struct RecoveryOptions {
     double gmin_start = 1e-2;
     int source_steps = 8;
 
-    // Iterative EM solver: escalation chain on a GMRES solve that misses
-    // SolverOptions::fail_tol. The dense-LU fallback after it is always on
-    // under Recover; Strict turns both off.
-    bool allow_precond_escalation = true;
-
     /// 1-norm condition-number estimate above which a factorization emits a
     /// "robust.condition_warnings" counter tick (0 disables the estimate).
     double condition_warn_threshold = 1e12;
 
     /// Cooperative cancellation, polled by the engines these options reach
     /// (transient stepper per step, DC continuation per pass, both sweep
-    /// backends per frequency / GMRES column). Not owned; must outlive the
-    /// run. nullptr (default) disables polling.
+    /// backends per frequency). Not owned; must outlive the run. nullptr
+    /// (default) disables polling.
     const CancelToken* cancel = nullptr;
 };
 
 /// One rung up the job-retry ladder: a strictly-more-forgiving copy of
-/// `base`. Each rung deepens the transient timestep cutting, the DC
-/// continuation, and (from rung 1 on) forces the iterative-solver
-/// escalation chain fully open. Used by the batch engine, which escalates a
-/// failing job one rung per retry; a clean solve is unaffected by the rung,
-/// so escalated retries of healthy code paths stay bit-identical.
+/// `base`. Each rung deepens the transient timestep cutting and the DC
+/// continuation, and sets the policy to Recover (which also opens the
+/// iterative solver's dense fallback). Used by the batch engine, which
+/// escalates a failing job one rung per retry; a clean solve is unaffected
+/// by the rung, so escalated retries of healthy code paths stay
+/// bit-identical.
 RecoveryOptions escalate_one_rung(const RecoveryOptions& base);
 
 /// One recovery (or health warning) taken during a run.

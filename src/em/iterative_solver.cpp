@@ -39,8 +39,7 @@ constexpr std::size_t kPrecondTileCells = 10;
 
 IterativeSolver::IterativeSolver(const PlaneBem& bem, SurfaceImpedance zs,
                                  SolverOptions options)
-    : bem_(bem), zs_(zs), options_(options),
-      active_precond_(options.preconditioner) {
+    : bem_(bem), zs_(zs), options_(options) {
     PGSI_REQUIRE(options_.fail_tol > 0, "SolverOptions: fail_tol must be positive");
 }
 
@@ -119,95 +118,75 @@ void IterativeSolver::setup() const {
         zs_scale_[b] = branches[b].length() / branches[b].width();
 
     // A(ω) = Zs + jωL + S/jω is affine in the frequency-independent L and
-    // S = Pᵀ Ppot P, so the preconditioner's tile blocks and diagonals are
-    // cached once, here, from whichever operators are active; every
-    // frequency then reassembles them without sampling a single kernel
-    // entry (on the compressed path each one is a Galerkin quadrature).
+    // S = Pᵀ Ppot P, so the preconditioner's tile blocks are cached once,
+    // here, from whichever operators are active; every frequency then
+    // reassembles them without sampling a single kernel entry (on the
+    // compressed path each one is a Galerkin quadrature).
     const InteractionOperator& pop =
         hm_pop_ ? *hm_pop_ : bem_.potential_operator();
     const InteractionOperator& lop =
         hm_lop_ ? *hm_lop_ : bem_.inductance_operator();
-    const auto s_entry = [&](std::size_t a, std::size_t b) {
-        return pop.entry(branches[a].n1, branches[b].n1) -
-               pop.entry(branches[a].n1, branches[b].n2) -
-               pop.entry(branches[a].n2, branches[b].n1) +
-               pop.entry(branches[a].n2, branches[b].n2);
-    };
 
-    // The tiles are also needed when escalation may promote a Diagonal run
-    // to NearFieldBlock mid-sweep.
-    const bool want_tiles =
-        options_.preconditioner == PreconditionerKind::NearFieldBlock ||
-        (options_.recovery.policy == robust::RecoveryPolicy::Recover &&
-         options_.recovery.allow_precond_escalation);
-    if (want_tiles) {
-        // Partition the current cells by midpoint into square geometric
-        // tiles. A tile mixes x- and y-directed cells on purpose: the local
-        // plaquette loop currents (the nullspace of the nodal term) only
-        // appear in blocks that couple both directions. std::map keeps the
-        // tile order deterministic.
-        const double tw =
-            static_cast<double>(kPrecondTileCells) * bem_.mesh().pitch();
-        std::map<std::pair<long, long>, std::vector<std::size_t>> groups;
-        for (std::size_t b = 0; b < branches.size(); ++b) {
-            const double mx = 0.5 * (branches[b].x0 + branches[b].x1);
-            const double my = 0.5 * (branches[b].y0 + branches[b].y1);
-            const std::pair<long, long> key{
-                static_cast<long>(std::floor(mx / tw)),
-                static_cast<long>(std::floor(my / tw))};
-            groups[key].push_back(b);
-        }
-        tiles_.clear();
-        tiles_.reserve(groups.size());
-        for (auto& [key, ids] : groups) tiles_.push_back(std::move(ids));
-
-        tile_l_.resize(tiles_.size());
-        tile_s_.resize(tiles_.size());
-        par::parallel_for(tiles_.size(), [&](std::size_t ti) {
-            const auto& ids = tiles_[ti];
-            // S entries combine four potential entries of the branch end
-            // nodes. Sample the tile's node × node potential block once
-            // (both (i, j) and (j, i): table entries for ±d come from
-            // separate quadratures) and combine from it, in s_entry's order.
-            std::vector<std::size_t> nodes;
-            nodes.reserve(2 * ids.size());
-            for (const std::size_t b : ids) {
-                nodes.push_back(branches[b].n1);
-                nodes.push_back(branches[b].n2);
-            }
-            std::sort(nodes.begin(), nodes.end());
-            nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-            const auto slot = [&](std::size_t node) {
-                return static_cast<std::size_t>(
-                    std::lower_bound(nodes.begin(), nodes.end(), node) -
-                    nodes.begin());
-            };
-            MatrixD pn(nodes.size(), nodes.size());
-            for (std::size_t i = 0; i < nodes.size(); ++i)
-                for (std::size_t j = 0; j < nodes.size(); ++j)
-                    pn(i, j) = pop.entry(nodes[i], nodes[j]);
-            std::vector<std::size_t> e1(ids.size()), e2(ids.size());
-            for (std::size_t r = 0; r < ids.size(); ++r) {
-                e1[r] = slot(branches[ids[r]].n1);
-                e2[r] = slot(branches[ids[r]].n2);
-            }
-            MatrixD lb(ids.size(), ids.size());
-            MatrixD sb(ids.size(), ids.size());
-            for (std::size_t r = 0; r < ids.size(); ++r)
-                for (std::size_t c = 0; c < ids.size(); ++c) {
-                    lb(r, c) = lop.entry(ids[r], ids[c]);
-                    sb(r, c) = pn(e1[r], e1[c]) - pn(e1[r], e2[c]) -
-                               pn(e2[r], e1[c]) + pn(e2[r], e2[c]);
-                }
-            tile_l_[ti] = std::move(lb);
-            tile_s_[ti] = std::move(sb);
-        });
+    // Partition the current cells by midpoint into square geometric tiles.
+    // A tile mixes x- and y-directed cells on purpose: the local plaquette
+    // loop currents (the nullspace of the nodal term) only appear in blocks
+    // that couple both directions. std::map keeps the tile order
+    // deterministic.
+    const double tw =
+        static_cast<double>(kPrecondTileCells) * bem_.mesh().pitch();
+    std::map<std::pair<long, long>, std::vector<std::size_t>> groups;
+    for (std::size_t b = 0; b < branches.size(); ++b) {
+        const double mx = 0.5 * (branches[b].x0 + branches[b].x1);
+        const double my = 0.5 * (branches[b].y0 + branches[b].y1);
+        const std::pair<long, long> key{
+            static_cast<long>(std::floor(mx / tw)),
+            static_cast<long>(std::floor(my / tw))};
+        groups[key].push_back(b);
     }
-    diag_l_.resize(branches.size());
-    diag_s_.resize(branches.size());
-    par::parallel_for(branches.size(), [&](std::size_t b) {
-        diag_l_[b] = lop.entry(b, b);
-        diag_s_[b] = s_entry(b, b);
+    tiles_.clear();
+    tiles_.reserve(groups.size());
+    for (auto& [key, ids] : groups) tiles_.push_back(std::move(ids));
+
+    tile_l_.resize(tiles_.size());
+    tile_s_.resize(tiles_.size());
+    par::parallel_for(tiles_.size(), [&](std::size_t ti) {
+        const auto& ids = tiles_[ti];
+        // S entries combine four potential entries of the branch end nodes.
+        // Sample the tile's node × node potential block once (both (i, j)
+        // and (j, i): table entries for ±d come from separate quadratures)
+        // and combine from it.
+        std::vector<std::size_t> nodes;
+        nodes.reserve(2 * ids.size());
+        for (const std::size_t b : ids) {
+            nodes.push_back(branches[b].n1);
+            nodes.push_back(branches[b].n2);
+        }
+        std::sort(nodes.begin(), nodes.end());
+        nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+        const auto slot = [&](std::size_t node) {
+            return static_cast<std::size_t>(
+                std::lower_bound(nodes.begin(), nodes.end(), node) -
+                nodes.begin());
+        };
+        MatrixD pn(nodes.size(), nodes.size());
+        for (std::size_t i = 0; i < nodes.size(); ++i)
+            for (std::size_t j = 0; j < nodes.size(); ++j)
+                pn(i, j) = pop.entry(nodes[i], nodes[j]);
+        std::vector<std::size_t> e1(ids.size()), e2(ids.size());
+        for (std::size_t r = 0; r < ids.size(); ++r) {
+            e1[r] = slot(branches[ids[r]].n1);
+            e2[r] = slot(branches[ids[r]].n2);
+        }
+        MatrixD lb(ids.size(), ids.size());
+        MatrixD sb(ids.size(), ids.size());
+        for (std::size_t r = 0; r < ids.size(); ++r)
+            for (std::size_t c = 0; c < ids.size(); ++c) {
+                lb(r, c) = lop.entry(ids[r], ids[c]);
+                sb(r, c) = pn(e1[r], e1[c]) - pn(e1[r], e2[c]) -
+                           pn(e2[r], e1[c]) + pn(e2[r], e2[c]);
+            }
+        tile_l_[ti] = std::move(lb);
+        tile_s_[ti] = std::move(sb);
     });
 }
 
@@ -215,8 +194,7 @@ MatrixC IterativeSolver::solve_ports(
     double freq_hz, const std::vector<std::size_t>& port_nodes,
     SweepState* sweep) const {
     PGSI_ALLOC_SCOPE("em.iterative");
-    // Cancellation point: one poll per frequency; run_attempt below polls
-    // again per GMRES solve so a multi-column stall cancels mid-frequency.
+    // Cancellation point: one poll per frequency.
     if (options_.recovery.cancel != nullptr)
         options_.recovery.cancel->poll("em.iterative.solve");
     const double omega = 2.0 * pi * freq_hz;
@@ -252,74 +230,40 @@ MatrixC IterativeSolver::solve_ports(
                    inv_jw * (unode[branches[b].n1] - unode[branches[b].n2]);
     };
 
-    // Preconditioner state is per-frequency (tile factors depend on ω); the
-    // builder caches, so escalating Diagonal → NearFieldBlock mid-call only
-    // pays for the blocks once.
-    LinearOpC precond;
-    std::vector<std::unique_ptr<const Lu<Complex>>> tile_lu;
-    VectorC dinv;
-    auto build_precond = [&](PreconditionerKind kind) {
-        if (kind == PreconditionerKind::NearFieldBlock) {
-            if (tile_lu.empty()) {
-                PGSI_TRACE_SCOPE("em.precond.factor");
-                tile_lu.resize(tiles_.size());
-                par::parallel_for(tiles_.size(), [&](std::size_t ti) {
-                    const auto& ids = tiles_[ti];
-                    const MatrixD& lb = tile_l_[ti];
-                    const MatrixD& sb = tile_s_[ti];
-                    MatrixC blk(ids.size(), ids.size());
-                    for (std::size_t r = 0; r < ids.size(); ++r) {
-                        for (std::size_t c = 0; c < ids.size(); ++c)
-                            blk(r, c) = jw * lb(r, c) + inv_jw * sb(r, c);
-                        blk(r, r) += zsb[ids[r]];
-                    }
-                    tile_lu[ti] =
-                        std::make_unique<const Lu<Complex>>(std::move(blk));
-                });
+    // Block-Jacobi preconditioner: the cached tile blocks reassembled at ω
+    // and LU-factored once per frequency.
+    std::vector<std::unique_ptr<const Lu<Complex>>> tile_lu(tiles_.size());
+    {
+        PGSI_TRACE_SCOPE("em.precond.factor");
+        par::parallel_for(tiles_.size(), [&](std::size_t ti) {
+            const auto& ids = tiles_[ti];
+            const MatrixD& lb = tile_l_[ti];
+            const MatrixD& sb = tile_s_[ti];
+            MatrixC blk(ids.size(), ids.size());
+            for (std::size_t r = 0; r < ids.size(); ++r) {
+                for (std::size_t c = 0; c < ids.size(); ++c)
+                    blk(r, c) = jw * lb(r, c) + inv_jw * sb(r, c);
+                blk(r, r) += zsb[ids[r]];
             }
-            precond = [&](const VectorC& x, VectorC& y) {
-                PGSI_TRACE_SCOPE("em.precond.apply");
-                y.resize(m); // every branch belongs to exactly one tile
-                par::parallel_for(tiles_.size(), [&](std::size_t ti) {
-                    const auto& ids = tiles_[ti];
-                    VectorC rhs(ids.size());
-                    for (std::size_t r = 0; r < ids.size(); ++r)
-                        rhs[r] = x[ids[r]];
-                    const VectorC sol = tile_lu[ti]->solve(rhs);
-                    for (std::size_t r = 0; r < ids.size(); ++r)
-                        y[ids[r]] = sol[r];
-                });
-            };
-        } else {
-            if (dinv.empty()) {
-                dinv.resize(m);
-                for (std::size_t b = 0; b < m; ++b)
-                    dinv[b] = 1.0 / (jw * diag_l_[b] + inv_jw * diag_s_[b] +
-                                     zsb[b]);
-            }
-            precond = [&](const VectorC& x, VectorC& y) {
-                PGSI_TRACE_SCOPE("em.precond.apply");
-                y.resize(m);
-                for (std::size_t b = 0; b < m; ++b) y[b] = dinv[b] * x[b];
-            };
-        }
+            tile_lu[ti] = std::make_unique<const Lu<Complex>>(std::move(blk));
+        });
+    }
+    const LinearOpC precond = [&](const VectorC& x, VectorC& y) {
+        PGSI_TRACE_SCOPE("em.precond.apply");
+        y.resize(m); // every branch belongs to exactly one tile
+        par::parallel_for(tiles_.size(), [&](std::size_t ti) {
+            const auto& ids = tiles_[ti];
+            VectorC rhs(ids.size());
+            for (std::size_t r = 0; r < ids.size(); ++r) rhs[r] = x[ids[r]];
+            const VectorC sol = tile_lu[ti]->solve(rhs);
+            for (std::size_t r = 0; r < ids.size(); ++r) y[ids[r]] = sol[r];
+        });
     };
-    // Escalation is sticky: start from the strongest kind any earlier
-    // frequency needed instead of re-paying the stall per point.
-    PreconditionerKind kind = active_precond_.load(std::memory_order_relaxed);
-    build_precond(kind);
 
-    const bool recover =
-        options_.recovery.policy == robust::RecoveryPolicy::Recover;
-    robust::RecoveryReport local_report;
-    MatrixC z(p, p);
-    std::size_t iters = 0, matvecs = 0, restarts = 0;
-    std::size_t escalations = 0, block_solves = 0, solves_attempted = 0;
     std::size_t recycle_hits = 0, recycle_applies = 0;
     bool warm_started = false;
-    // Convergence stream: one point per block GMRES attempt at this
-    // frequency (pending columns, iterations), with marks where the
-    // preconditioner ladder escalated.
+    // Convergence stream: one point per frequency (columns, iterations),
+    // with a mark where the frequency fell back to the dense solver.
     const std::size_t sid = obs::streams_enabled()
                                 ? obs::stream_open("em.iterative.columns")
                                 : obs::kStreamNone;
@@ -355,11 +299,12 @@ MatrixC IterativeSolver::solve_ports(
         for (std::size_t b = 0; b < m; ++b)
             rhs[k][b] = inv_jw * (*rhs_base)[k][b];
 
-    // Initial guesses. With a recycled subspace U on hand, A(ω)·U recombines
-    // from the cached component products (no operator applications), and
-    // each column warm-starts from the least-squares projection
+    // Initial guesses, which GMRES overwrites with the solutions. With a
+    // recycled subspace U on hand, A(ω)·U recombines from the cached
+    // component products (no operator applications), and each column
+    // warm-starts from the least-squares projection
     // x0 = U argmin_y |b − A(ω) U y|.
-    std::vector<VectorC> x0(p, VectorC(m, Complex{}));
+    std::vector<VectorC> sol(p, VectorC(m, Complex{}));
     if (sweep && !sweep->basis_u.empty()) {
         const std::size_t d = sweep->basis_u.size();
         std::vector<VectorC> au(d, VectorC(m));
@@ -421,87 +366,66 @@ MatrixC IterativeSolver::solve_ports(
                 }
                 for (std::size_t j = 0; j < d; ++j)
                     for (std::size_t b = 0; b < m; ++b)
-                        x0[k][b] += y[j] * sweep->basis_u[j][b];
+                        sol[k][b] += y[j] * sweep->basis_u[j][b];
                 ++recycle_hits;
             }
         }
         warm_started = true;
     }
 
-    // Column solves with recovery. `ok` / `colres` track each column's
-    // state so escalation retries only the columns that actually stalled
-    // and the stats attribute only work actually performed.
-    std::vector<VectorC> cur(p);
-    std::vector<double> colres(p, 1.0);
-    std::vector<bool> ok(p, false);
-    auto run_attempt = [&]() {
-        if (options_.recovery.cancel != nullptr)
-            options_.recovery.cancel->poll("em.iterative.gmres");
-        std::vector<std::size_t> pend;
-        for (std::size_t k = 0; k < p; ++k)
-            if (!ok[k]) pend.push_back(k);
-        std::vector<VectorC> bcols(pend.size()), xcols(pend.size());
-        for (std::size_t i = 0; i < pend.size(); ++i) {
-            bcols[i] = rhs[pend[i]];
-            xcols[i] = x0[pend[i]];
-        }
-        // The block shares one inner-iteration budget across its columns;
-        // scale it so each column keeps the allowance of a one-column solve.
-        GmresOptions bopt = options_.gmres;
-        bopt.max_iterations *= pend.size();
-        BlockGmresResult br;
-        {
-            PGSI_TRACE_SCOPE("em.gmres");
-            br = block_gmres(apply, bcols, xcols, bopt, precond);
-        }
-        ++block_solves;
-        solves_attempted += pend.size();
-        iters += br.iterations;
-        matvecs += br.matvecs;
-        restarts += br.cycles;
-        for (std::size_t i = 0; i < pend.size(); ++i) {
-            const std::size_t k = pend[i];
-            colres[k] = br.residuals[i];
-            cur[k] = std::move(xcols[i]);
-            ok[k] = colres[k] <= options_.fail_tol &&
-                    robust::all_finite(cur[k]);
-        }
-        if (sid != obs::kStreamNone)
-            obs::stream_append(sid, static_cast<double>(pend.size()),
-                               static_cast<double>(br.iterations));
-        for (std::size_t k = 0; k < p; ++k)
-            if (!ok[k]) return false;
-        return true;
-    };
-
-    bool all_ok = run_attempt();
-    double worst_bad = 0;
-    for (std::size_t k = 0; k < p; ++k)
-        if (!ok[k]) worst_bad = std::max(worst_bad, colres[k]);
-
-    // Escalation rung 1: the stronger block-Jacobi preconditioner, sticky
-    // for the rest of this solver's lifetime.
-    if (!all_ok && recover && options_.recovery.allow_precond_escalation &&
-        kind == PreconditionerKind::Diagonal) {
-        kind = PreconditionerKind::NearFieldBlock;
-        active_precond_.store(kind, std::memory_order_relaxed);
-        build_precond(kind);
-        ++escalations;
-        if (sid != obs::kStreamNone)
-            obs::stream_mark(sid, 0.0, "escalate:near_field_block");
-        if (!escalation_noted_.exchange(true))
-            robust::note_recovery(
-                &local_report, "em.precond_escalation",
-                "GMRES stalled at residual " + std::to_string(worst_bad) +
-                    " at f = " + std::to_string(freq_hz) +
-                    " Hz; escalated Diagonal -> NearFieldBlock (sticky)");
-        all_ok = run_attempt();
-        worst_bad = 0;
-        for (std::size_t k = 0; k < p; ++k)
-            if (!ok[k]) worst_bad = std::max(worst_bad, colres[k]);
+    // One block GMRES over every port column. The block shares one
+    // inner-iteration budget across its columns; scale it so each column
+    // keeps the allowance of a one-column solve.
+    GmresOptions bopt = options_.gmres;
+    bopt.max_iterations *= p;
+    BlockGmresResult br;
+    {
+        PGSI_TRACE_SCOPE("em.gmres");
+        br = block_gmres(apply, rhs, sol, bopt, precond);
     }
-    // Escalation rung 2: dense LU for the whole frequency point.
-    if (!all_ok && recover) {
+    const std::size_t iters = br.iterations;
+    std::size_t matvecs = br.matvecs;
+    if (sid != obs::kStreamNone)
+        obs::stream_append(sid, static_cast<double>(p),
+                           static_cast<double>(iters));
+    bool converged = true;
+    double worst_ok = 0, worst_bad = 0;
+    for (std::size_t k = 0; k < p; ++k) {
+        const double res = br.residuals[k];
+        if (res <= options_.fail_tol && robust::all_finite(sol[k])) {
+            worst_ok = std::max(worst_ok, res);
+        } else {
+            converged = false;
+            worst_bad = std::max(worst_bad, res);
+        }
+    }
+    if (!converged &&
+        options_.recovery.policy != robust::RecoveryPolicy::Recover)
+        throw NumericalError(
+            "IterativeSolver: GMRES stalled at relative residual " +
+            std::to_string(worst_bad) + " (fail_tol " +
+            std::to_string(options_.fail_tol) + ") at f = " +
+            std::to_string(freq_hz) + " Hz");
+
+    MatrixC z(p, p);
+    robust::RecoveryReport local_report;
+    if (converged) {
+        // V = (1/jw) Ppot (J − Pᵀ I); Z(q, k) = V at port q.
+        for (std::size_t k = 0; k < p; ++k) {
+            std::fill(tnode.begin(), tnode.end(), Complex{});
+            tnode[port_nodes[k]] = Complex(1.0, 0.0);
+            for (std::size_t b = 0; b < m; ++b) {
+                tnode[branches[b].n1] -= sol[k][b];
+                tnode[branches[b].n2] += sol[k][b];
+            }
+            pop.apply(tnode, unode);
+            for (std::size_t q = 0; q < p; ++q)
+                z(q, k) = inv_jw * unode[port_nodes[q]];
+        }
+    } else {
+        // Recovery: dense LU for the whole frequency point. The GMRES work
+        // stays in the stats; the residuals of the columns that did
+        // converge stay in the worst-residual telemetry.
         if (sid != obs::kStreamNone)
             obs::stream_mark(sid, 0.0, "escalate:dense_fallback");
         robust::note_recovery(
@@ -509,50 +433,7 @@ MatrixC IterativeSolver::solve_ports(
             "GMRES stalled at residual " + std::to_string(worst_bad) +
                 " at f = " + std::to_string(freq_hz) +
                 " Hz; recomputed the frequency with the dense solver");
-        MatrixC zd = dense_solver().port_impedance(freq_hz, port_nodes);
-        const std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.frequencies;
-        // Attribute only the column solves GMRES actually ran, and fold the
-        // residuals of the columns that did complete into the worst-residual
-        // telemetry — the dense recomputation replaces their results but not
-        // the fact that the work happened.
-        stats_.solves += solves_attempted;
-        stats_.block_solves += block_solves;
-        stats_.iterations += iters;
-        stats_.matvecs += matvecs;
-        stats_.restarts += restarts;
-        stats_.precond_escalations += escalations;
-        ++stats_.dense_fallbacks;
-        for (std::size_t k = 0; k < p; ++k)
-            if (ok[k])
-                stats_.worst_residual =
-                    std::max(stats_.worst_residual, colres[k]);
-        if (sweep) {
-            ++stats_.sweep_points;
-            if (warm_started) ++stats_.warm_starts;
-            stats_.recycle_hits += recycle_hits;
-        }
-        report_.merge(local_report);
-        return zd;
-    }
-    if (!all_ok)
-        throw NumericalError(
-            "IterativeSolver: GMRES stalled at relative residual " +
-            std::to_string(worst_bad) + " (fail_tol " +
-            std::to_string(options_.fail_tol) + ") at f = " +
-            std::to_string(freq_hz) + " Hz");
-
-    // V = (1/jw) Ppot (J − Pᵀ I); Z(q, k) = V at port q.
-    for (std::size_t k = 0; k < p; ++k) {
-        std::fill(tnode.begin(), tnode.end(), Complex{});
-        tnode[port_nodes[k]] = Complex(1.0, 0.0);
-        for (std::size_t b = 0; b < m; ++b) {
-            tnode[branches[b].n1] -= cur[k][b];
-            tnode[branches[b].n2] += cur[k][b];
-        }
-        pop.apply(tnode, unode);
-        for (std::size_t q = 0; q < p; ++q)
-            z(q, k) = inv_jw * unode[port_nodes[q]];
+        z = dense_solver().port_impedance(freq_hz, port_nodes);
     }
 
     // Grow the recycled subspace with this frequency's solutions: modified
@@ -564,11 +445,12 @@ MatrixC IterativeSolver::solve_ports(
     // point interpolate; recycling raw Krylov directions instead floods the
     // basis with one point's fine corrections and evicts that manifold.
     // Oldest vectors are evicted first; dropping a vector from an
-    // orthonormal set keeps it orthonormal.
+    // orthonormal set keeps it orthonormal. A dense-fallback point adds
+    // nothing: GMRES did not produce its solutions.
     std::size_t saved_iters = 0;
-    if (sweep) {
+    if (sweep && converged) {
         for (std::size_t k = 0; k < p; ++k) {
-            VectorC u = cur[k];
+            VectorC u = sol[k];
             const double xn = norm2(u);
             for (std::size_t j = 0; j < sweep->basis_u.size(); ++j) {
                 const Complex c = dot(sweep->basis_u[j], u);
@@ -618,14 +500,13 @@ MatrixC IterativeSolver::solve_ports(
             obs::counter("em.sweep.saved_iterations");
         const std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.frequencies;
-        stats_.solves += solves_attempted;
-        stats_.block_solves += block_solves;
+        stats_.solves += p;
+        ++stats_.block_solves;
         stats_.iterations += iters;
         stats_.matvecs += matvecs;
-        stats_.restarts += restarts;
-        stats_.precond_escalations += escalations;
-        for (std::size_t k = 0; k < p; ++k)
-            stats_.worst_residual = std::max(stats_.worst_residual, colres[k]);
+        stats_.restarts += br.cycles;
+        if (!converged) ++stats_.dense_fallbacks;
+        stats_.worst_residual = std::max(stats_.worst_residual, worst_ok);
         if (sweep) {
             ++stats_.sweep_points;
             if (warm_started) {

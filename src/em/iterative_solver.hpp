@@ -10,16 +10,12 @@
 // (the nodal unknowns V = Ppot·Q eliminated through charge conservation
 // Q = (J − PᵀI)/jω), and L / Ppot act through the FFT-accelerated
 // block-Toeplitz InteractionOperators of the PlaneBem — O(M log M) per
-// application. The Krylov solver is restarted GMRES with a right
-// preconditioner:
-//
-//   * Diagonal — Jacobi on A's diagonal; cheap but weak, because the nodal
-//     term P Ppot Pᵀ annihilates mesh loop currents (its nullspace), where
-//     A reduces to the off-diagonally dominated jωL;
-//   * NearFieldBlock (default) — block-Jacobi over geometric tiles of
-//     current cells. A tile spans both branch directions, so the local
-//     plaquette loops that the diagonal cannot see are captured by the
-//     tile's dense factorization.
+// application. The Krylov solver is restarted GMRES, right-preconditioned
+// by block-Jacobi over geometric tiles of current cells. A tile spans both
+// branch directions, so the local plaquette loop currents — the nullspace
+// of the nodal term P Ppot Pᵀ, where A reduces to the off-diagonally
+// dominated jωL and a diagonal preconditioner sees nothing — are captured
+// by the tile's dense factorization.
 //
 // The port columns of one frequency solve as a single block GMRES against a
 // shared Arnoldi basis (one port is a block of one column). A multi-point
@@ -28,15 +24,15 @@
 // solutions (see sweep_impedance).
 //
 // Port impedances follow from V = (1/jω) Ppot (J − Pᵀ I). Results agree
-// with DirectSolver to the GMRES tolerance; a solve whose true residual
-// exceeds SolverOptions::fail_tol throws instead of returning a silently
-// inaccurate Z. On non-uniform meshes the setup compresses P and L into
-// ACA/H-matrix operators (em/hmatrix.hpp) — O(N log N) assembly and apply —
-// per SolverOptions::hmatrix; only tiny meshes (or HmatrixUse::Off) keep the
-// exact dense-product fallback.
+// with DirectSolver to the GMRES tolerance. A frequency whose true residual
+// exceeds SolverOptions::fail_tol is recomputed by the dense DirectSolver
+// under RecoveryPolicy::Recover, or throws under Strict; it never returns
+// a silently inaccurate Z. On non-uniform meshes the setup compresses P and
+// L into ACA/H-matrix operators (em/hmatrix.hpp) — O(N log N) assembly and
+// apply — per SolverOptions::hmatrix; only tiny meshes (or HmatrixUse::Off)
+// keep the exact dense-product fallback.
 #pragma once
 
-#include <atomic>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -50,17 +46,15 @@ namespace pgsi {
 /// em.hmatrix.build and em.solve.* spans.
 struct IterativeSolverStats {
     std::size_t frequencies = 0; ///< port_impedance evaluations
-    /// Column solves actually attempted: the pending column count of each
-    /// block GMRES call. A frequency that fell back to the dense solver
-    /// contributes only the attempts GMRES made.
+    /// Column solves attempted: |ports| per frequency, dense fallbacks
+    /// included (their GMRES work happened before the fallback).
     std::size_t solves = 0;
-    /// Block GMRES calls: one per solve attempt at a frequency (the first,
-    /// and one more after a preconditioner escalation).
+    /// Block GMRES calls: one per frequency.
     std::size_t block_solves = 0;
     std::size_t iterations = 0;  ///< total inner GMRES iterations
     std::size_t matvecs = 0;     ///< total operator applications
     std::size_t restarts = 0;    ///< total restart / seed cycles
-    /// Stalled solves recovered by escalating Diagonal → NearFieldBlock.
+    /// Always 0; removed together with the em.precond_escalations ledger entry.
     std::size_t precond_escalations = 0;
     /// Frequency points recovered by falling back to the dense solver.
     std::size_t dense_fallbacks = 0;
@@ -124,8 +118,8 @@ public:
     /// read while a sweep is in flight.
     const IterativeSolverStats& stats() const { return stats_; }
 
-    /// Recoveries performed so far (preconditioner escalations, dense
-    /// fallbacks). Do not read while a sweep is in flight.
+    /// Recoveries performed so far (dense fallbacks). Do not read while a
+    /// sweep is in flight.
     const robust::RecoveryReport& recovery_report() const { return report_; }
 
 private:
@@ -168,18 +162,9 @@ private:
     mutable std::vector<std::vector<std::size_t>> tiles_; ///< branch ids per tile
     /// Frequency-independent preconditioner entries, cached at setup from
     /// the active operators (Toeplitz, H-matrix or dense): per-tile L and
-    /// S = PᵀPpotP blocks, plus their diagonals for the Jacobi kind. A(ω)
-    /// tiles reassemble as jωL + S/jω + Zs without re-sampling a single
-    /// kernel entry.
+    /// S = PᵀPpotP blocks. A(ω) tiles reassemble as jωL + S/jω + Zs
+    /// without re-sampling a single kernel entry.
     mutable std::vector<MatrixD> tile_l_, tile_s_;
-    mutable std::vector<double> diag_l_, diag_s_;
-    /// Current preconditioner rung. Escalation is sticky for the lifetime of
-    /// the solver: once a stall promoted Diagonal → NearFieldBlock, every
-    /// later frequency starts from the stronger kind instead of re-paying
-    /// the stall. Atomic because port_impedance is public and const:
-    /// callers may solve several frequencies on one solver concurrently.
-    mutable std::atomic<PreconditionerKind> active_precond_;
-    mutable std::atomic<bool> escalation_noted_{false}; // report once
     mutable std::mutex stats_mu_; // concurrent port_impedance calls
     mutable IterativeSolverStats stats_;
     mutable robust::RecoveryReport report_;

@@ -37,32 +37,20 @@ enum class SolverBackend {
               ///< swept by the cross-frequency sweep engine
 };
 
-/// Preconditioner applied inside the iterative backend's GMRES.
-enum class PreconditionerKind {
-    Diagonal,      ///< Jacobi on the branch system (cheapest, weak)
-    NearFieldBlock ///< block-Jacobi over geometric tiles of current cells
-};
-
 /// Backend selection and iterative-path tuning knobs.
 struct SolverOptions {
     SolverBackend backend = SolverBackend::Auto;
     /// Auto picks Iterative at or above this many mesh nodes (when the mesh
     /// is uniform-lattice and assembly is not Direct).
     std::size_t auto_node_threshold = 400;
-    PreconditionerKind preconditioner = PreconditionerKind::NearFieldBlock;
     GmresOptions gmres; ///< restart / iteration budget / target residual
     /// An iterative solve whose final true relative residual exceeds this
-    /// is either recovered (preconditioner escalation, then dense-LU
-    /// fallback, per `recovery`) or raises NumericalError instead of
-    /// returning a silently inaccurate Z.
+    /// is either recovered (dense-LU fallback, per `recovery`) or raises
+    /// NumericalError instead of returning a silently inaccurate Z.
     double fail_tol = 1e-8;
     /// Recovery policy of the iterative backend. Under Recover (default) a
-    /// stalled GMRES solve escalates Diagonal → NearFieldBlock (when
-    /// allow_precond_escalation is set) and then always falls back to the
-    /// dense direct solver for that frequency; Strict turns both rungs off
-    /// and preserves the throw-on-stall behavior. An escalated
-    /// preconditioner is sticky: later frequencies on the same solver start
-    /// from the stronger kind instead of re-paying the stall.
+    /// frequency whose GMRES solve stalls is recomputed by the dense direct
+    /// solver; Strict throws NumericalError instead.
     robust::RecoveryOptions recovery;
     /// ACA/H-matrix operator-compression knobs of the iterative backend on
     /// non-uniform meshes (em/hmatrix.hpp). Under HmatrixUse::Auto the setup

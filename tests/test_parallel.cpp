@@ -89,6 +89,41 @@ TEST_F(ParallelTest, ExceptionPropagatesToCaller) {
     EXPECT_EQ(count.load(), 100);
 }
 
+// The caller retires each job once its own chunk loop returns and waits
+// only for the workers that joined it; a worker that wakes after that must
+// skip the job rather than touch the caller's finished one. Tens of
+// thousands of back-to-back dispatches of near-empty bodies make late wakers
+// the common case. Mixed in: caller-only ranges (n <= grain, never published
+// to the workers), one throwing body and one mid-stream reconfiguration.
+TEST_F(ParallelTest, BackToBackDispatchesKeepCoverageAndErrors) {
+    par::set_thread_count(4);
+    constexpr std::size_t kDispatches = 20000;
+    for (std::size_t d = 0; d < kDispatches; ++d) {
+        if (d == kDispatches / 2) par::set_thread_count(3);
+        if (d == kDispatches / 4) {
+            EXPECT_THROW(par::parallel_for(64,
+                                           [](std::size_t i) {
+                                               if (i == 40)
+                                                   throw std::runtime_error(
+                                                       "body failed");
+                                           }),
+                         std::runtime_error);
+            continue;
+        }
+        const std::size_t n = 1 + d % 37;
+        std::vector<std::atomic<int>> hits(n);
+        const auto touch = [&](std::size_t b, std::size_t e) {
+            for (std::size_t i = b; i < e; ++i)
+                hits[i].fetch_add(1, std::memory_order_relaxed);
+        };
+        par::parallel_for_chunked(n, d % 3 == 0 ? n : 1, touch);
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(hits[i].load(), 1)
+                << "dispatch " << d << ", index " << i;
+    }
+    EXPECT_EQ(par::thread_count(), 3u);
+}
+
 TEST_F(ParallelTest, SetThreadCountReconfigures) {
     par::set_thread_count(2);
     EXPECT_EQ(par::thread_count(), 2u);
