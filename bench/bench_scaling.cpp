@@ -41,15 +41,17 @@ PlaneBem make_plane(int n, AssemblyMode assembly = AssemblyMode::Auto) {
 // rounds each shape's cell size independently, so the lattice is non-uniform
 // and the Toeplitz/FFT path is off the table — the regime the H-matrix
 // backend exists for.
-PlaneBem make_stretched_plane(int n) {
+PlaneBem make_stretched_plane(int n, HmatrixOptions hopt = {}) {
     ConductorShape a;
     a.outline = Polygon::rectangle(0, 0, 0.1, 0.08);
     a.z = 0.5e-3;
     a.sheet_resistance = 0.6e-3;
     ConductorShape b = a;
     b.outline = Polygon::rectangle(0.103, 0, 0.103 + 0.0617, 0.0473);
+    BemOptions opt;
+    opt.hmatrix = hopt;
     return PlaneBem(RectMesh({a, b}, 0.1 / n), Greens::homogeneous(4.5, true),
-                    {});
+                    opt);
 }
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -327,16 +329,16 @@ void write_scaling_json(const char* path, bool smoke) {
         const auto zd = direct.sweep_impedance(freqs, ports);
         const double dense_s = seconds_since(t0);
 
-        const PlaneBem hbem = make_stretched_plane(n);
-        SolverOptions hopt;
-        hopt.backend = SolverBackend::Iterative;
-        hopt.hmatrix.use = HmatrixUse::Force;
         // Tolerances matched to the case's 1e-8 accuracy target instead of
         // the conservative library defaults (aca 1e-10 / gmres 1e-11): the
         // measured Z error stays ~2e-9 while ACA ranks and GMRES iteration
         // counts drop substantially.
-        hopt.hmatrix.aca_tol = 3e-9;
-        hopt.hmatrix.eta = 2.0;
+        HmatrixOptions aca;
+        aca.aca_tol = 3e-9;
+        aca.eta = 2.0;
+        const PlaneBem hbem = make_stretched_plane(n, aca);
+        SolverOptions hopt;
+        hopt.backend = SolverBackend::Iterative;
         hopt.gmres.tol = 1e-10;
         const IterativeSolver compressed(hbem, zs, hopt);
         const StageClock stages;

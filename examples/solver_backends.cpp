@@ -71,7 +71,7 @@ int main() {
                     dev = std::max(dev, std::abs(zi[k](i, j) - zd[k](i, j)));
                 }
 
-        // What would Auto have picked here (default node threshold)?
+        // What would Auto have picked here (its one node threshold)?
         const auto auto_solver = make_solver(bem, zs);
         std::printf("%-6d %-8zu %-10.3f %-12.3f %-10.1f %-12.2e %-8s\n", n,
                     bem.node_count(), direct_s, iterative_s,
@@ -80,7 +80,8 @@ int main() {
     }
     std::printf("\nBoth backends solve the same MPIE system; deviations are "
                 "pure linear-algebra round-off (target <= 1e-8). The Auto "
-                "backend switches to the matrix-free path once the mesh is "
-                "large and uniform enough to profit.\n");
+                "backend switches to the matrix-free path once the mesh "
+                "reaches the node threshold (Toeplitz operators on a uniform "
+                "lattice, H-matrix otherwise).\n");
     return 0;
 }

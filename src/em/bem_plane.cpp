@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "common/error.hpp"
@@ -14,14 +15,15 @@
 
 namespace pgsi {
 
-PlaneBem::PlaneBem(RectMesh mesh, Greens greens, BemOptions options)
-    : mesh_(std::move(mesh)), greens_(std::move(greens)), options_(options) {
-    PGSI_REQUIRE(options_.galerkin_order >= 1 && options_.galerkin_order <= 8,
+PlaneBem::PlaneBem(RectMesh mesh, Greens greens, BemOptions options) {
+    PGSI_REQUIRE(options.galerkin_order >= 1 && options.galerkin_order <= 8,
                  "BemOptions: galerkin_order out of range");
-    PGSI_REQUIRE(options_.l_quad_order >= 1 && options_.l_quad_order <= 8,
+    PGSI_REQUIRE(options.l_quad_order >= 1 && options.l_quad_order <= 8,
                  "BemOptions: l_quad_order out of range");
-    grule_ = &gauss_legendre(options_.galerkin_order);
-    lrule_ = &gauss_legendre(options_.l_quad_order);
+    const QuadratureRule* grule = &gauss_legendre(options.galerkin_order);
+    const QuadratureRule* lrule = &gauss_legendre(options.l_quad_order);
+    model_ = std::make_shared<const Model>(Model{
+        std::move(mesh), std::move(greens), options, grule, lrule});
 }
 
 namespace {
@@ -55,6 +57,20 @@ double cell_average(const Rect& r, const QuadratureRule& rule, F&& f) {
 // The translation-invariant interaction lattice/table machinery lives in
 // em/interaction_lattice.hpp, shared with the block-Toeplitz operators.
 
+// Symmetric n×n matrix from its lower triangle: entry(i, j) for i >= j,
+// column-parallel (each worker owns whole columns, so writes never race),
+// then mirrored.
+template <class F>
+MatrixD symmetric_fill(std::size_t n, F&& entry) {
+    MatrixD a(n, n);
+    par::parallel_for(n, [&](std::size_t j) {
+        for (std::size_t i = j; i < n; ++i) a(i, j) = entry(i, j);
+    });
+    for (std::size_t j = 0; j < n; ++j)
+        for (std::size_t i = j + 1; i < n; ++i) a(j, i) = a(i, j);
+    return a;
+}
+
 obs::Counter& cached_fill_counter() {
     static obs::Counter& c = obs::counter("bem.assembly.cached_fills");
     return c;
@@ -73,59 +89,36 @@ obs::Counter& cache_entry_counter() {
 MatrixD PlaneBem::assemble_potential() const {
     PGSI_TRACE_SCOPE("bem.fill.potential");
     PGSI_ALLOC_SCOPE("em.assembly");
-    const auto& nodes = mesh_.nodes();
-    const std::size_t n = nodes.size();
-    MatrixD p(n, n);
-    const QuadratureRule& grule = gauss_legendre(options_.galerkin_order);
+    const std::size_t n = node_count();
+    const AssemblyMode mode = options().assembly;
 
     Lattice lat;
-    if (options_.assembly != AssemblyMode::Direct) lat = node_lattice();
-    if (options_.assembly == AssemblyMode::Cached)
+    if (mode != AssemblyMode::Direct) lat = node_lattice();
+    if (mode == AssemblyMode::Cached)
         PGSI_REQUIRE(lat.uniform,
                      "AssemblyMode::Cached requires a uniform-pitch mesh "
                      "(congruent cells on one lattice)");
-    const bool cached = options_.assembly == AssemblyMode::Cached ||
-                        (options_.assembly == AssemblyMode::Auto &&
-                         cache_profitable(lat, n * (n + 1) / 2));
+    const bool cached =
+        mode == AssemblyMode::Cached ||
+        (mode == AssemblyMode::Auto && cache_profitable(lat, n * (n + 1) / 2));
 
     if (cached) {
         const std::vector<double>& table = potential_table();
-        par::parallel_for(n, [&](std::size_t j) {
-            for (std::size_t i = j; i < n; ++i)
-                p(i, j) = table[table_index(lat, i, j)];
+        MatrixD p = symmetric_fill(n, [&](std::size_t i, std::size_t j) {
+            return table[table_index(lat, i, j)];
         });
         {
             const std::lock_guard<std::mutex> lock(stats_->mu);
             stats_->value.potential_cached = true;
         }
         ++cached_fill_counter();
-    } else {
-        // Column-parallel: each worker owns whole columns, so writes never
-        // race (the symmetric mirror below runs after the fill).
-        par::parallel_for(n, [&](std::size_t j) {
-            const Rect src = cell_rect(nodes[j]);
-            const double inv_area = 1.0 / src.area();
-            for (std::size_t i = j; i < n; ++i) {
-                double v;
-                if (options_.testing == Testing::PointMatching) {
-                    v = greens_.phi_integral(nodes[i].center, nodes[i].z, src,
-                                             nodes[j].z) *
-                        inv_area;
-                } else {
-                    const Rect obs = cell_rect(nodes[i]);
-                    v = cell_average(obs, grule, [&](Point2 q) {
-                            return greens_.phi_integral(q, nodes[i].z, src,
-                                                        nodes[j].z);
-                        }) *
-                        inv_area;
-                }
-                p(i, j) = v;
-            }
-        });
-        ++direct_fill_counter();
+        return p;
     }
-    for (std::size_t j = 0; j < n; ++j)
-        for (std::size_t i = j + 1; i < n; ++i) p(j, i) = p(i, j);
+    const Model& model = *model_;
+    MatrixD p = symmetric_fill(n, [&](std::size_t i, std::size_t j) {
+        return model.potential(i, j);
+    });
+    ++direct_fill_counter();
     return p;
 }
 
@@ -146,16 +139,15 @@ const MatrixD& PlaneBem::maxwell_capacitance() const {
 MatrixD PlaneBem::assemble_inductance() const {
     PGSI_TRACE_SCOPE("bem.fill.inductance");
     PGSI_ALLOC_SCOPE("em.assembly");
-    const auto& branches = mesh_.branches();
+    const auto& branches = mesh().branches();
     const std::size_t m = branches.size();
-    MatrixD l(m, m);
-    const QuadratureRule& lrule = gauss_legendre(options_.l_quad_order);
+    const AssemblyMode mode = options().assembly;
 
     // x- and y-directed current cells are two separate congruent families
     // (and do not couple to each other), each with its own lattice/table.
     bool uniform = false;
     std::size_t entries = 0, direct_evals = 0;
-    if (options_.assembly != AssemblyMode::Direct) {
+    if (mode != AssemblyMode::Direct) {
         const BranchFamilies& bf = branch_families();
         uniform = bf.uniform;
         for (int d = 0; d < 2; ++d) {
@@ -163,55 +155,38 @@ MatrixD PlaneBem::assemble_inductance() const {
             direct_evals += bf.idx[d].size() * (bf.idx[d].size() + 1) / 2;
         }
     }
-    if (options_.assembly == AssemblyMode::Cached)
+    if (mode == AssemblyMode::Cached)
         PGSI_REQUIRE(uniform,
                      "AssemblyMode::Cached requires a uniform-pitch mesh "
                      "(congruent current cells on one lattice per direction)");
     const bool cached =
-        options_.assembly == AssemblyMode::Cached ||
-        (options_.assembly == AssemblyMode::Auto && uniform &&
-         entries < direct_evals);
+        mode == AssemblyMode::Cached ||
+        (mode == AssemblyMode::Auto && uniform && entries < direct_evals);
 
     if (cached) {
+        // Family ids ascend with the global ids, so a global lower-triangle
+        // pair is a family-local one too.
         const BranchFamilies& bf = branch_families();
-        for (int d = 0; d < 2; ++d) {
-            const auto& idx = bf.idx[d];
-            if (idx.empty()) continue;
-            const Lattice& lg = bf.lat[d];
-            const std::vector<double>& table = inductance_table(d);
-            par::parallel_for(idx.size(), [&](std::size_t jj) {
-                for (std::size_t ii = jj; ii < idx.size(); ++ii)
-                    l(idx[ii], idx[jj]) = table[table_index(lg, ii, jj)];
-            });
-        }
+        const std::vector<double>* table[2];
+        for (int d = 0; d < 2; ++d)
+            table[d] = bf.idx[d].empty() ? nullptr : &inductance_table(d);
+        MatrixD l = symmetric_fill(m, [&](std::size_t a, std::size_t b) {
+            if (branches[a].dir != branches[b].dir) return 0.0;
+            const int d = branches[a].dir == BranchDir::Y;
+            return (*table[d])[table_index(bf.lat[d], bf.local[a], bf.local[b])];
+        });
         {
             const std::lock_guard<std::mutex> lock(stats_->mu);
             stats_->value.inductance_cached = true;
         }
         ++cached_fill_counter();
-    } else {
-        par::parallel_for(m, [&](std::size_t b) {
-            const Rect src = branch_rect(branches[b]);
-            const double wb = branches[b].width();
-            for (std::size_t a = b; a < m; ++a) {
-                if (branches[a].dir != branches[b].dir)
-                    continue; // orthogonal: no coupling
-                const Rect obs = branch_rect(branches[a]);
-                const double wa = branches[a].width();
-                // Lp = (1/(wa·wb)) ∬_a GA-integral-over-src dA; the outer
-                // integral is smooth (the inner one is exact) so a small
-                // Gauss rule suffices.
-                const double avg = cell_average(obs, lrule, [&](Point2 q) {
-                    return greens_.a_integral(q, branches[a].z, src,
-                                              branches[b].z);
-                });
-                l(a, b) = avg * obs.area() / (wa * wb);
-            }
-        });
-        ++direct_fill_counter();
+        return l;
     }
-    for (std::size_t b = 0; b < m; ++b)
-        for (std::size_t a = b + 1; a < m; ++a) l(b, a) = l(a, b);
+    const Model& model = *model_;
+    MatrixD l = symmetric_fill(m, [&](std::size_t a, std::size_t b) {
+        return model.inductance(a, b);
+    });
+    ++direct_fill_counter();
     return l;
 }
 
@@ -221,10 +196,10 @@ const MatrixD& PlaneBem::inductance_matrix() const {
 
 const VectorD& PlaneBem::branch_resistance() const {
     return rbranch_.get([&] {
-        const auto& branches = mesh_.branches();
+        const auto& branches = mesh().branches();
         VectorD r(branches.size());
         for (std::size_t b = 0; b < branches.size(); ++b) {
-            const double rs = mesh_.shapes()[branches[b].shape].sheet_resistance;
+            const double rs = mesh().shapes()[branches[b].shape].sheet_resistance;
             r[b] = rs * branches[b].length() / branches[b].width();
         }
         return r;
@@ -232,8 +207,8 @@ const VectorD& PlaneBem::branch_resistance() const {
 }
 
 MatrixD PlaneBem::incidence_dense() const {
-    const auto& branches = mesh_.branches();
-    MatrixD a(branches.size(), mesh_.node_count());
+    const auto& branches = mesh().branches();
+    MatrixD a(branches.size(), node_count());
     for (std::size_t b = 0; b < branches.size(); ++b) {
         a(b, branches[b].n1) = 1.0;
         a(b, branches[b].n2) = -1.0;
@@ -250,9 +225,9 @@ const MatrixD& PlaneBem::gamma() const {
         // X = L⁻¹ P, then Γ = Pᵀ X accumulated through the sparse incidence.
         const MatrixD x =
             spd_solve(l, a, "bem.cholesky", "bem.lu_fallback", "gamma: L⁻¹P");
-        const std::size_t n = mesh_.node_count();
+        const std::size_t n = node_count();
         MatrixD g(n, n);
-        const auto& branches = mesh_.branches();
+        const auto& branches = mesh().branches();
         for (std::size_t b = 0; b < branches.size(); ++b) {
             const double* xrow = x.row(b);
             double* r1 = g.row(branches[b].n1);
@@ -276,8 +251,8 @@ const MatrixD& PlaneBem::gamma() const {
 const MatrixD& PlaneBem::dc_conductance() const {
     return gdc_.get([&] {
         const VectorD& r = branch_resistance();
-        const auto& branches = mesh_.branches();
-        const std::size_t n = mesh_.node_count();
+        const auto& branches = mesh().branches();
+        const std::size_t n = node_count();
         MatrixD g(n, n);
         for (std::size_t b = 0; b < branches.size(); ++b) {
             PGSI_REQUIRE(r[b] > 0,
@@ -296,7 +271,7 @@ const MatrixD& PlaneBem::dc_conductance() const {
 
 const Lattice& PlaneBem::node_lattice() const {
     return node_lat_.get([&] {
-        const auto& nodes = mesh_.nodes();
+        const auto& nodes = mesh().nodes();
         return detect_lattice(
             nodes.size(), [&](std::size_t e) { return nodes[e].center; },
             [&](std::size_t e) { return std::pair{nodes[e].dx, nodes[e].dy}; },
@@ -306,10 +281,14 @@ const Lattice& PlaneBem::node_lattice() const {
 
 const PlaneBem::BranchFamilies& PlaneBem::branch_families() const {
     return branch_fam_.get([&] {
-        const auto& branches = mesh_.branches();
+        const auto& branches = mesh().branches();
         BranchFamilies bf;
-        for (std::size_t b = 0; b < branches.size(); ++b)
-            bf.idx[branches[b].dir == BranchDir::Y].push_back(b);
+        bf.local.resize(branches.size());
+        for (std::size_t b = 0; b < branches.size(); ++b) {
+            auto& idx = bf.idx[branches[b].dir == BranchDir::Y];
+            bf.local[b] = idx.size();
+            idx.push_back(b);
+        }
         bf.uniform = true;
         for (int d = 0; d < 2; ++d) {
             const auto& idx = bf.idx[d];
@@ -348,7 +327,8 @@ const std::vector<double>& PlaneBem::potential_table() const {
         PGSI_REQUIRE(lat.uniform,
                      "potential_table requires a uniform-pitch mesh");
         PGSI_TRACE_SCOPE("bem.fill.potential.table");
-        const QuadratureRule& grule = gauss_legendre(options_.galerkin_order);
+        const QuadratureRule& grule = *model_->grule;
+        const Greens& greens = this->greens();
         const double sx = lat.sx, sy = lat.sy;
         const Rect src{-0.5 * sx, 0.5 * sx, -0.5 * sy, 0.5 * sy};
         const double inv_area = 1.0 / (sx * sy);
@@ -356,12 +336,12 @@ const std::vector<double>& PlaneBem::potential_table() const {
             lat, [&](long di, long dj, double zo, double zs) {
                 const Point2 obs{static_cast<double>(di) * sx,
                                  static_cast<double>(dj) * sy};
-                if (options_.testing == Testing::PointMatching)
-                    return greens_.phi_integral(obs, zo, src, zs) * inv_area;
+                if (options().testing == Testing::PointMatching)
+                    return greens.phi_integral(obs, zo, src, zs) * inv_area;
                 const Rect obsr{obs.x - 0.5 * sx, obs.x + 0.5 * sx,
                                 obs.y - 0.5 * sy, obs.y + 0.5 * sy};
                 return cell_average(obsr, grule, [&](Point2 q) {
-                           return greens_.phi_integral(q, zo, src, zs);
+                           return greens.phi_integral(q, zo, src, zs);
                        }) *
                     inv_area;
             });
@@ -377,7 +357,8 @@ const std::vector<double>& PlaneBem::inductance_table(int d) const {
         PGSI_REQUIRE(lg.uniform,
                      "inductance_table requires a uniform-pitch mesh");
         PGSI_TRACE_SCOPE("bem.fill.inductance.table");
-        const QuadratureRule& lrule = gauss_legendre(options_.l_quad_order);
+        const QuadratureRule& lrule = *model_->lrule;
+        const Greens& greens = this->greens();
         const double sx = lg.sx, sy = lg.sy;
         const Rect src{-0.5 * sx, 0.5 * sx, -0.5 * sy, 0.5 * sy};
         // All cells in the family share one width (the current-transverse
@@ -391,7 +372,7 @@ const std::vector<double>& PlaneBem::inductance_table(int d) const {
                                static_cast<double>(dj) * sy - 0.5 * sy,
                                static_cast<double>(dj) * sy + 0.5 * sy};
                 return cell_average(obs, lrule, [&](Point2 q) {
-                           return greens_.a_integral(q, zo, src, zs);
+                           return greens.a_integral(q, zo, src, zs);
                        }) *
                     scale;
             });
@@ -400,42 +381,50 @@ const std::vector<double>& PlaneBem::inductance_table(int d) const {
     });
 }
 
-double PlaneBem::potential_entry(std::size_t i, std::size_t j) const {
-    // The dense fill computes the lower triangle (obs >= src column) and
-    // mirrors; folding here keeps on-demand entries bit-identical to it.
+double PlaneBem::Model::potential(std::size_t i, std::size_t j) const {
+    // Entries are evaluated on the lower triangle (obs >= src), as the dense
+    // fill computes them; folding here keeps (i, j) and (j, i) bit-identical.
     if (i < j) std::swap(i, j);
-    const auto& nodes = mesh_.nodes();
+    const auto& nodes = mesh.nodes();
     const Rect src = cell_rect(nodes[j]);
     const double inv_area = 1.0 / src.area();
-    if (options_.testing == Testing::PointMatching)
-        return greens_.phi_integral(nodes[i].center, nodes[i].z, src,
-                                    nodes[j].z) *
+    if (options.testing == Testing::PointMatching)
+        return greens.phi_integral(nodes[i].center, nodes[i].z, src,
+                                   nodes[j].z) *
                inv_area;
-    const QuadratureRule& grule = *grule_;
     const Rect obs = cell_rect(nodes[i]);
-    return cell_average(obs, grule, [&](Point2 q) {
-               return greens_.phi_integral(q, nodes[i].z, src, nodes[j].z);
+    return cell_average(obs, *grule, [&](Point2 q) {
+               return greens.phi_integral(q, nodes[i].z, src, nodes[j].z);
            }) *
            inv_area;
 }
 
-double PlaneBem::inductance_entry(std::size_t a, std::size_t b) const {
+double PlaneBem::Model::inductance(std::size_t a, std::size_t b) const {
     if (a < b) std::swap(a, b);
-    const auto& branches = mesh_.branches();
+    const auto& branches = mesh.branches();
     if (branches[a].dir != branches[b].dir) return 0.0; // orthogonal
-    const QuadratureRule& lrule = *lrule_;
     const Rect src = branch_rect(branches[b]);
     const double wb = branches[b].width();
     const Rect obs = branch_rect(branches[a]);
     const double wa = branches[a].width();
-    const double avg = cell_average(obs, lrule, [&](Point2 q) {
-        return greens_.a_integral(q, branches[a].z, src, branches[b].z);
+    // Lp = (1/(wa·wb)) ∬_a GA-integral-over-src dA; the outer integral is
+    // smooth (the inner one is exact) so a small Gauss rule suffices.
+    const double avg = cell_average(obs, *lrule, [&](Point2 q) {
+        return greens.a_integral(q, branches[a].z, src, branches[b].z);
     });
     return avg * obs.area() / (wa * wb);
 }
 
+double PlaneBem::potential_entry(std::size_t i, std::size_t j) const {
+    return model_->potential(i, j);
+}
+
+double PlaneBem::inductance_entry(std::size_t a, std::size_t b) const {
+    return model_->inductance(a, b);
+}
+
 std::vector<std::array<double, 3>> PlaneBem::node_points() const {
-    const auto& nodes = mesh_.nodes();
+    const auto& nodes = mesh().nodes();
     std::vector<std::array<double, 3>> pts(nodes.size());
     for (std::size_t e = 0; e < nodes.size(); ++e)
         pts[e] = {nodes[e].center.x, nodes[e].center.y, nodes[e].z};
@@ -444,7 +433,7 @@ std::vector<std::array<double, 3>> PlaneBem::node_points() const {
 
 std::vector<std::array<double, 3>> PlaneBem::branch_points(
     const std::vector<std::size_t>& branch_ids) const {
-    const auto& branches = mesh_.branches();
+    const auto& branches = mesh().branches();
     std::vector<std::array<double, 3>> pts(branch_ids.size());
     for (std::size_t e = 0; e < branch_ids.size(); ++e) {
         const Point2 c = branch_rect(branches[branch_ids[e]]).center();
@@ -453,45 +442,62 @@ std::vector<std::array<double, 3>> PlaneBem::branch_points(
     return pts;
 }
 
-std::array<std::vector<std::size_t>, 2> PlaneBem::branch_direction_index()
-    const {
-    return branch_families().idx;
-}
-
 bool PlaneBem::uniform_lattice() const {
     return node_lattice().uniform && branch_families().uniform;
 }
 
+bool PlaneBem::toeplitz_operators() const {
+    return options().assembly != AssemblyMode::Direct && uniform_lattice();
+}
+
+// The H-matrix kernels share ownership of the model rather than pointing at
+// this PlaneBem, which may move.
 const InteractionOperator& PlaneBem::potential_operator() const {
     return pop_.get([&] {
-        const std::size_t n = mesh_.node_count();
-        if (options_.assembly != AssemblyMode::Direct && uniform_lattice()) {
+        const std::size_t n = node_count();
+        std::vector<std::size_t> ident(n);
+        std::iota(ident.begin(), ident.end(), std::size_t{0});
+        if (toeplitz_operators()) {
             std::vector<ToeplitzFamily> fams;
             fams.emplace_back(node_lattice(), potential_table());
-            std::vector<std::size_t> ident(n);
-            for (std::size_t i = 0; i < n; ++i) ident[i] = i;
-            return InteractionOperator::toeplitz(std::move(fams), {std::move(ident)}, n);
+            return InteractionOperator::toeplitz(std::move(fams),
+                                                 {std::move(ident)}, n);
         }
-        return InteractionOperator::dense(&potential_matrix());
+        auto h = std::make_shared<const Hmatrix>(
+            node_points(),
+            [model = model_](std::size_t i, std::size_t j) {
+                return model->potential(i, j);
+            },
+            options().hmatrix);
+        return InteractionOperator::hmatrix({std::move(h)}, {std::move(ident)},
+                                            n);
     });
 }
 
 const InteractionOperator& PlaneBem::inductance_operator() const {
     return lop_.get([&] {
-        const std::size_t m = mesh_.branch_count();
-        if (options_.assembly != AssemblyMode::Direct && uniform_lattice()) {
-            const BranchFamilies& bf = branch_families();
+        const BranchFamilies& bf = branch_families();
+        std::vector<std::vector<std::size_t>> idx(bf.idx.begin(), bf.idx.end());
+        if (toeplitz_operators()) {
             std::vector<ToeplitzFamily> fams;
-            std::vector<std::vector<std::size_t>> idx;
-            for (int d = 0; d < 2; ++d) {
+            for (int d = 0; d < 2; ++d)
                 fams.emplace_back(bf.lat[d], bf.idx[d].empty()
                                                  ? std::vector<double>{}
                                                  : inductance_table(d));
-                idx.push_back(bf.idx[d]);
-            }
-            return InteractionOperator::toeplitz(std::move(fams), std::move(idx), m);
+            return InteractionOperator::toeplitz(std::move(fams),
+                                                 std::move(idx),
+                                                 branch_count());
         }
-        return InteractionOperator::dense(&inductance_matrix());
+        std::vector<std::shared_ptr<const Hmatrix>> parts;
+        for (const std::vector<std::size_t>& ids : idx)
+            parts.push_back(std::make_shared<const Hmatrix>(
+                branch_points(ids),
+                [model = model_, ids](std::size_t a, std::size_t b) {
+                    return model->inductance(ids[a], ids[b]);
+                },
+                options().hmatrix));
+        return InteractionOperator::hmatrix(std::move(parts), std::move(idx),
+                                            branch_count());
     });
 }
 

@@ -28,6 +28,7 @@
 
 #include "common/lazy.hpp"
 #include "em/greens.hpp"
+#include "em/hmatrix.hpp"
 #include "em/surface_impedance.hpp"
 #include "em/toeplitz_operator.hpp"
 #include "geometry/rectmesh.hpp"
@@ -65,7 +66,11 @@ struct BemOptions {
     /// Gauss order per axis for the outer integral of partial inductances.
     int l_quad_order = 4;
     /// Displacement-keyed interaction-table policy for the P and L fills.
+    /// It also picks the operator form: Toeplitz/FFT on a uniform lattice
+    /// unless Direct, ACA/H-matrix otherwise (see potential_operator()).
     AssemblyMode assembly = AssemblyMode::Auto;
+    /// ACA/H-matrix knobs of the compressed operators.
+    HmatrixOptions hmatrix = {};
 };
 
 /// Work telemetry of the lazy BEM assembly steps. Their wall time is in
@@ -81,17 +86,18 @@ struct BemAssemblyStats {
 /// assembled lazily and cached; all are frequency independent under the
 /// quasi-static approximation of §4.1. Each cached member is filled once,
 /// even when its first use comes from several threads at once, so a model
-/// may be shared by concurrent solves. Movable, not copyable.
+/// may be shared by concurrent solves. Movable, not copyable; the cached
+/// members, the operators among them, keep their addresses across a move.
 class PlaneBem {
 public:
     PlaneBem(RectMesh mesh, Greens greens, BemOptions options = {});
 
-    const RectMesh& mesh() const { return mesh_; }
-    const Greens& greens() const { return greens_; }
-    const BemOptions& options() const { return options_; }
+    const RectMesh& mesh() const { return model_->mesh; }
+    const Greens& greens() const { return model_->greens; }
+    const BemOptions& options() const { return model_->options; }
 
-    std::size_t node_count() const { return mesh_.node_count(); }
-    std::size_t branch_count() const { return mesh_.branch_count(); }
+    std::size_t node_count() const { return mesh().node_count(); }
+    std::size_t branch_count() const { return mesh().branch_count(); }
 
     /// Potential-coefficient matrix Ppot (N×N): V = Ppot · Q for total cell
     /// charges Q. Symmetric positive definite.
@@ -123,20 +129,20 @@ public:
     /// precondition for the matrix-free block-Toeplitz operators.
     bool uniform_lattice() const;
 
-    /// Applier of Ppot behind the InteractionOperator interface: FFT-based
-    /// matrix-free when uniform_lattice() and the assembly mode is not
-    /// Direct, dense fallback (forcing the Ppot fill) otherwise.
+    /// Applier of Ppot behind the InteractionOperator interface, built once
+    /// on first use and never assembled densely: block-Toeplitz/FFT when
+    /// uniform_lattice() and the assembly mode is not Direct, an ACA/H-matrix
+    /// (options().hmatrix) sampled from potential_entry() otherwise.
     const InteractionOperator& potential_operator() const;
 
     /// Applier of L (same policy as potential_operator()). The two branch
-    /// directions form separate Toeplitz families; cross-direction entries
-    /// are structurally zero.
+    /// directions form separate Toeplitz families or H-matrices;
+    /// cross-direction entries are structurally zero.
     const InteractionOperator& inductance_operator() const;
 
-    /// Exact Ppot(i, j) evaluated on demand — no matrix assembly. Matches
-    /// potential_matrix() bit-for-bit (the indices are folded to the lower
-    /// triangle exactly as the dense fill computes it). This is the kernel
-    /// the ACA/H-matrix path samples.
+    /// Exact Ppot(i, j) evaluated on demand — no matrix assembly. The dense
+    /// Direct fill calls this same kernel on the lower triangle, so the two
+    /// match bit-for-bit. This is the kernel the ACA/H-matrix path samples.
     double potential_entry(std::size_t i, std::size_t j) const;
 
     /// Exact L(a, b) evaluated on demand (zero for orthogonal branch
@@ -147,13 +153,6 @@ public:
     /// operator's H-matrix.
     std::vector<std::array<double, 3>> node_points() const;
 
-    /// Current-cell centers (x, y, z) of the given direction's branches.
-    std::vector<std::array<double, 3>> branch_points(
-        const std::vector<std::size_t>& branch_ids) const;
-
-    /// Global branch ids of the two current-cell directions (x, then y).
-    std::array<std::vector<std::size_t>, 2> branch_direction_index() const;
-
     /// Assembly work observed so far (table use, cache entries).
     BemAssemblyStats stats() const;
 
@@ -161,17 +160,28 @@ private:
     /// Branch indices and lattices of the two current-cell directions.
     struct BranchFamilies {
         std::array<std::vector<std::size_t>, 2> idx; ///< global branch ids
+        std::vector<std::size_t> local; ///< global branch id → family index
         std::array<Lattice, 2> lat;
         bool uniform = false;
     };
 
-    RectMesh mesh_;
-    Greens greens_;
-    BemOptions options_;
-    /// Gauss rules resolved once at construction: the rule cache is
-    /// mutex-guarded, and the on-demand entry kernels run on pool workers.
-    const QuadratureRule* grule_ = nullptr;
-    const QuadratureRule* lrule_ = nullptr;
+    /// What the entry kernels read. Held by shared pointer so the kernels
+    /// an H-matrix keeps for entry() stay valid when the PlaneBem moves.
+    struct Model {
+        RectMesh mesh;
+        Greens greens;
+        BemOptions options;
+        /// Gauss rules resolved once at construction: the rule cache is
+        /// mutex-guarded, and the on-demand entry kernels run on pool
+        /// workers.
+        const QuadratureRule* grule = nullptr;
+        const QuadratureRule* lrule = nullptr;
+
+        double potential(std::size_t i, std::size_t j) const;
+        double inductance(std::size_t a, std::size_t b) const;
+    };
+
+    std::shared_ptr<const Model> model_;
 
     Lazy<MatrixD> ppot_;
     Lazy<MatrixD> cmax_;
@@ -199,6 +209,12 @@ private:
     const BranchFamilies& branch_families() const;
     const std::vector<double>& potential_table() const;
     const std::vector<double>& inductance_table(int d) const;
+    /// Current-cell centers (x, y, z) of the given branches.
+    std::vector<std::array<double, 3>> branch_points(
+        const std::vector<std::size_t>& branch_ids) const;
+    /// Toeplitz operators (else H-matrices): a uniform lattice and a
+    /// non-Direct assembly mode.
+    bool toeplitz_operators() const;
     void note_table_entries(std::size_t entries) const;
 };
 

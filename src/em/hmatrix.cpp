@@ -17,6 +17,10 @@ namespace {
 /// alone cost as much as the dense fill.
 constexpr std::size_t kMinAcaDim = 8;
 
+/// ACA rank budget per block before the recovery ladder engages (the retry
+/// rung doubles it).
+constexpr std::size_t kAcaMaxRank = 64;
+
 /// Thin modified-Gram-Schmidt QR: a (m×k) is replaced by Q with orthonormal
 /// columns (a dependent column becomes zero with r_jj = 0), r is k×k upper
 /// triangular. Serial and deterministic.
@@ -454,17 +458,16 @@ AcaResult aca_lowrank(const std::size_t* rows, std::size_t nrows,
 }
 
 Hmatrix::Hmatrix(std::vector<std::array<double, 3>> points, KernelFn kernel,
-                 const HmatrixOptions& opt, robust::RecoveryReport* report)
+                 const HmatrixOptions& opt)
     : tree_(std::move(points), std::max<std::size_t>(opt.leaf_size, 1)),
       kernel_(std::move(kernel)),
       opt_(opt) {
     PGSI_REQUIRE(opt_.aca_tol > 0, "HmatrixOptions: aca_tol must be positive");
     PGSI_REQUIRE(opt_.eta > 0, "HmatrixOptions: eta must be positive");
-    PGSI_REQUIRE(opt_.max_rank >= 1, "HmatrixOptions: max_rank must be >= 1");
-    build(report);
+    build();
 }
 
-void Hmatrix::build(robust::RecoveryReport* report) {
+void Hmatrix::build() {
     PGSI_TRACE_SCOPE("em.hmatrix.build");
     stats_.elements = tree_.size();
     if (tree_.size() == 0) return;
@@ -553,7 +556,7 @@ void Hmatrix::build(robust::RecoveryReport* report) {
             const std::size_t mn = nr.count() * nc.count();
             const std::size_t be_cap =
                 std::max<std::size_t>(mn / (nr.count() + nc.count()), 1);
-            const std::size_t budget = std::min(opt_.max_rank, be_cap);
+            const std::size_t budget = std::min(kAcaMaxRank, be_cap);
             AcaResult r;
             if (!pb.fault_first)
                 r = aca_lowrank(rows, nr.count(), cols, nc.count(), kernel_,
@@ -564,7 +567,7 @@ void Hmatrix::build(robust::RecoveryReport* report) {
             // rank this high would lose to the dense block. Assemble dense
             // (exact); no ladder event.
             const bool storage_dense =
-                !pb.fault_first && !r.converged && budget < opt_.max_rank;
+                !pb.fault_first && !r.converged && budget < kAcaMaxRank;
             if (!storage_dense) {
                 if (pb.fault_first || !r.converged) {
                     // Ladder rung 1: tightened tolerance, doubled rank
@@ -575,7 +578,7 @@ void Hmatrix::build(robust::RecoveryReport* report) {
                     if (!pb.fault_retry)
                         r2 = aca_lowrank(rows, nr.count(), cols, nc.count(),
                                          kernel_, 0.1 * opt_.aca_tol,
-                                         2 * opt_.max_rank);
+                                         2 * kAcaMaxRank);
                     out.evals += r2.evals;
                     if (pb.fault_retry || !r2.converged) {
                         // Ladder rung 2: exact dense block.
@@ -643,11 +646,11 @@ void Hmatrix::build(robust::RecoveryReport* report) {
             if (!noted_tighten) {
                 noted_tighten = true;
                 robust::note_recovery(
-                    report, "em.aca_tighten",
+                    &report_, "em.aca_tighten",
                     "ACA block (" + std::to_string(nodes[blk.row].count()) +
                         "x" + std::to_string(nodes[blk.col].count()) +
                         ") missed tol " + std::to_string(opt_.aca_tol) +
-                        " within rank " + std::to_string(opt_.max_rank) +
+                        " within rank " + std::to_string(kAcaMaxRank) +
                         "; retried with tightened tolerance");
             }
         }
@@ -657,7 +660,7 @@ void Hmatrix::build(robust::RecoveryReport* report) {
             if (!noted_dense) {
                 noted_dense = true;
                 robust::note_recovery(
-                    report, "em.aca_dense_block",
+                    &report_, "em.aca_dense_block",
                     "ACA retry did not converge; block (" +
                         std::to_string(nodes[blk.row].count()) + "x" +
                         std::to_string(nodes[blk.col].count()) +

@@ -2,8 +2,10 @@
 // operators for meshes without the uniform-lattice structure.
 //
 // The block-Toeplitz operators (toeplitz_operator.hpp) need every element of
-// a family to be congruent and lattice-aligned; stretched or mixed-pitch
-// meshes previously dropped to O(N²) dense assembly + apply. The quasi-static
+// a family to be congruent and lattice-aligned; on stretched or mixed-pitch
+// meshes (and under AssemblyMode::Direct) PlaneBem builds its P and L
+// operators from these H-matrices instead, sampling its exact entry kernels,
+// so no O(N²) dense assembly or apply is needed. The quasi-static
 // kernels 1/r (and their image series) are asymptotically smooth, so the
 // interaction between two well-separated element clusters is numerically
 // low-rank. This module exploits that directly on the geometry:
@@ -30,8 +32,9 @@
 // A block that fails to converge (rank budget exhausted, or the
 // `aca.converge` fault site fired) climbs a recovery ladder: retry with a
 // tightened tolerance and doubled rank budget, then fall back to an exact
-// dense block. Either way the build completes; the ladder is surfaced in a
-// robust::RecoveryReport and the obs counters.
+// dense block. Either way the build completes; the ladder is surfaced in the
+// H-matrix's own recovery_report() (the iterative solver folds it into its
+// report) and the obs counters.
 //
 // apply() is threaded through pgsi::par with deterministic partitioning:
 // per-block products are computed in parallel into disjoint scratch slots
@@ -51,16 +54,8 @@
 
 namespace pgsi {
 
-/// When the solver setup compresses the interaction operators.
-enum class HmatrixUse {
-    Auto,  ///< compress on non-uniform meshes above the node threshold
-    Force, ///< always compress (equivalence tests / benchmarks)
-    Off    ///< never compress (dense fallback, the pre-H-matrix behavior)
-};
-
-/// Tuning knobs of the ACA/H-matrix operator path (SolverOptions::hmatrix).
+/// Tuning knobs of the ACA/H-matrix operators (BemOptions::hmatrix).
 struct HmatrixOptions {
-    HmatrixUse use = HmatrixUse::Auto;
     /// Relative Frobenius tolerance of each admissible block's ACA. The
     /// end-to-end Z(f) error tracks this within about an order of magnitude,
     /// so 1e-10 holds the backend-equivalence budget of 1e-8.
@@ -69,11 +64,6 @@ struct HmatrixOptions {
     double eta = 1.5;
     /// Maximum elements in a cluster-tree leaf.
     std::size_t leaf_size = 32;
-    /// ACA rank budget per block before the recovery ladder engages.
-    std::size_t max_rank = 64;
-    /// Auto compresses only at or above this many mesh nodes; below it the
-    /// dense operators win on constants (the small-N crossover).
-    std::size_t node_threshold = 160;
 };
 
 /// Work telemetry of one H-matrix build (its wall time is the
@@ -164,10 +154,8 @@ AcaResult aca_lowrank(const std::size_t* rows, std::size_t nrows,
 /// count.
 class Hmatrix {
 public:
-    /// `report` (optional) receives the ACA recovery-ladder events.
     Hmatrix(std::vector<std::array<double, 3>> points, KernelFn kernel,
-            const HmatrixOptions& opt,
-            robust::RecoveryReport* report = nullptr);
+            const HmatrixOptions& opt);
 
     std::size_t size() const { return tree_.size(); }
 
@@ -179,6 +167,8 @@ public:
     double entry(std::size_t i, std::size_t j) const { return kernel_(i, j); }
 
     const HmatrixStats& stats() const { return stats_; }
+    /// The ACA recovery-ladder events of the build.
+    const robust::RecoveryReport& recovery_report() const { return report_; }
     const ClusterTree& tree() const { return tree_; }
 
 private:
@@ -192,7 +182,7 @@ private:
         MatrixD d; ///< rows × cols (dense)
     };
 
-    void build(robust::RecoveryReport* report);
+    void build();
 
     ClusterTree tree_;
     KernelFn kernel_;
@@ -201,6 +191,7 @@ private:
     std::vector<std::size_t> scratch_off_; ///< per-block scratch offsets
     std::size_t scratch_len_ = 0;
     HmatrixStats stats_;
+    robust::RecoveryReport report_;
 };
 
 } // namespace pgsi

@@ -35,13 +35,16 @@ constexpr std::size_t kRecycleDim = 48;
 // block approximation degrades visibly on stacked or multi-island meshes.
 constexpr std::size_t kPrecondTileCells = 10;
 
+// A frequency whose final true relative residual exceeds this is recovered
+// through the dense solver (Recover) or throws (Strict) instead of returning
+// a silently inaccurate Z.
+constexpr double kFailTol = 1e-8;
+
 } // namespace
 
 IterativeSolver::IterativeSolver(const PlaneBem& bem, SurfaceImpedance zs,
                                  SolverOptions options)
-    : bem_(bem), zs_(zs), options_(options) {
-    PGSI_REQUIRE(options_.fail_tol > 0, "SolverOptions: fail_tol must be positive");
-}
+    : bem_(bem), zs_(zs), options_(options) {}
 
 void IterativeSolver::ensure_setup() const {
     std::call_once(setup_once_, [this] { setup(); });
@@ -50,67 +53,28 @@ void IterativeSolver::ensure_setup() const {
 void IterativeSolver::setup() const {
     PGSI_TRACE_SCOPE("em.iterative.setup");
     PGSI_ALLOC_SCOPE("em.iterative");
-    // Operator path. On non-uniform meshes (where PlaneBem's operators would
-    // fall back to dense products, forcing an O(N²) fill) the setup instead
-    // compresses P and L into ACA/H-matrix operators sampled from the exact
-    // entry kernels — no dense matrix is ever assembled.
-    const HmatrixOptions& hopt = options_.hmatrix;
-    const bool compress =
-        hopt.use == HmatrixUse::Force ||
-        (hopt.use == HmatrixUse::Auto &&
-         bem_.options().assembly != AssemblyMode::Direct &&
-         !bem_.uniform_lattice() && bem_.node_count() >= hopt.node_threshold);
-    if (compress) {
-        const std::size_t n = bem_.node_count();
-        auto hp = std::make_shared<const Hmatrix>(
-            bem_.node_points(),
-            [this](std::size_t i, std::size_t j) {
-                return bem_.potential_entry(i, j);
-            },
-            hopt, &report_);
-        std::vector<std::size_t> ident(n);
-        for (std::size_t i = 0; i < n; ++i) ident[i] = i;
-        hm_pop_ = InteractionOperator::hmatrix({std::move(hp)},
-                                               {std::move(ident)}, n);
-
-        const std::array<std::vector<std::size_t>, 2> dirs =
-            bem_.branch_direction_index();
-        std::vector<std::shared_ptr<const Hmatrix>> parts;
-        std::vector<std::vector<std::size_t>> idx;
-        for (int d = 0; d < 2; ++d) {
-            std::vector<std::size_t> ids = dirs[d];
-            parts.push_back(std::make_shared<const Hmatrix>(
-                bem_.branch_points(ids),
-                [this, ids](std::size_t a, std::size_t b) {
-                    return bem_.inductance_entry(ids[a], ids[b]);
-                },
-                hopt, &report_));
-            idx.push_back(std::move(ids));
+    // The PlaneBem owns the operators: Toeplitz on a uniform lattice,
+    // ACA/H-matrix otherwise. Compressed parts only report their build work
+    // and ACA ladder events here.
+    const InteractionOperator& pop = bem_.potential_operator();
+    const InteractionOperator& lop = bem_.inductance_operator();
+    stats_.hmatrix = pop.compressed();
+    std::size_t stored = 0;
+    double elems2 = 0;
+    for (const InteractionOperator* op : {&pop, &lop})
+        for (const auto& part : op->hmatrix_parts()) {
+            const HmatrixStats& hs = part->stats();
+            stats_.aca_blocks += hs.lowrank_blocks;
+            stats_.aca_dense_blocks += hs.dense_blocks;
+            stats_.aca_retightened += hs.aca_retightened;
+            stats_.aca_dense_fallbacks += hs.aca_dense_fallbacks;
+            stored += hs.stored_entries;
+            elems2 += static_cast<double>(hs.elements) *
+                      static_cast<double>(hs.elements);
+            report_.merge(part->recovery_report());
         }
-        hm_lop_ = InteractionOperator::hmatrix(std::move(parts),
-                                               std::move(idx),
-                                               bem_.branch_count());
-
-        stats_.hmatrix = true;
-        std::size_t stored = 0;
-        double elems2 = 0;
-        const auto fold = [&](const InteractionOperator& op) {
-            for (const auto& part : op.hmatrix_parts()) {
-                const HmatrixStats& hs = part->stats();
-                stats_.aca_blocks += hs.lowrank_blocks;
-                stats_.aca_dense_blocks += hs.dense_blocks;
-                stats_.aca_retightened += hs.aca_retightened;
-                stats_.aca_dense_fallbacks += hs.aca_dense_fallbacks;
-                stored += hs.stored_entries;
-                elems2 += static_cast<double>(hs.elements) *
-                          static_cast<double>(hs.elements);
-            }
-        };
-        fold(*hm_pop_);
-        fold(*hm_lop_);
-        stats_.hmatrix_compression =
-            elems2 > 0 ? static_cast<double>(stored) / elems2 : 1.0;
-    }
+    stats_.hmatrix_compression =
+        elems2 > 0 ? static_cast<double>(stored) / elems2 : 1.0;
 
     const auto& branches = bem_.mesh().branches();
     zs_scale_.resize(branches.size());
@@ -119,13 +83,9 @@ void IterativeSolver::setup() const {
 
     // A(ω) = Zs + jωL + S/jω is affine in the frequency-independent L and
     // S = Pᵀ Ppot P, so the preconditioner's tile blocks are cached once,
-    // here, from whichever operators are active; every frequency then
+    // here, from the operators' exact entries; every frequency then
     // reassembles them without sampling a single kernel entry (on the
     // compressed path each one is a Galerkin quadrature).
-    const InteractionOperator& pop =
-        hm_pop_ ? *hm_pop_ : bem_.potential_operator();
-    const InteractionOperator& lop =
-        hm_lop_ ? *hm_lop_ : bem_.inductance_operator();
 
     // Partition the current cells by midpoint into square geometric tiles.
     // A tile mixes x- and y-directed cells on purpose: the local plaquette
@@ -201,10 +161,8 @@ MatrixC IterativeSolver::solve_ports(
     const Complex jw(0.0, omega);
     const Complex inv_jw = 1.0 / jw;
 
-    const InteractionOperator& pop =
-        hm_pop_ ? *hm_pop_ : bem_.potential_operator();
-    const InteractionOperator& lop =
-        hm_lop_ ? *hm_lop_ : bem_.inductance_operator();
+    const InteractionOperator& pop = bem_.potential_operator();
+    const InteractionOperator& lop = bem_.inductance_operator();
     const auto& branches = bem_.mesh().branches();
     const std::size_t m = branches.size();
     const std::size_t n = bem_.node_count();
@@ -392,7 +350,7 @@ MatrixC IterativeSolver::solve_ports(
     double worst_ok = 0, worst_bad = 0;
     for (std::size_t k = 0; k < p; ++k) {
         const double res = br.residuals[k];
-        if (res <= options_.fail_tol && robust::all_finite(sol[k])) {
+        if (res <= kFailTol && robust::all_finite(sol[k])) {
             worst_ok = std::max(worst_ok, res);
         } else {
             converged = false;
@@ -403,8 +361,8 @@ MatrixC IterativeSolver::solve_ports(
         options_.recovery.policy != robust::RecoveryPolicy::Recover)
         throw NumericalError(
             "IterativeSolver: GMRES stalled at relative residual " +
-            std::to_string(worst_bad) + " (fail_tol " +
-            std::to_string(options_.fail_tol) + ") at f = " +
+            std::to_string(worst_bad) + " (fail tolerance " +
+            std::to_string(kFailTol) + ") at f = " +
             std::to_string(freq_hz) + " Hz");
 
     MatrixC z(p, p);
@@ -608,28 +566,22 @@ std::unique_ptr<PlaneSolver> make_solver(const PlaneBem& bem,
                                          const SolverOptions& options) {
     SolverBackend backend = options.backend;
     if (backend == SolverBackend::Auto) {
-        // Three-way crossover: Toeplitz operators on uniform lattices,
-        // ACA/H-matrix operators on non-uniform meshes above the (smaller)
-        // compression threshold, dense direct otherwise. The chosen operator
-        // family is observable via the em.backend.* counters.
-        const bool assembly_ok =
-            bem.options().assembly != AssemblyMode::Direct;
-        const bool toeplitz = assembly_ok && bem.uniform_lattice() &&
-                              bem.node_count() >= options.auto_node_threshold;
-        const bool hmat = !toeplitz && assembly_ok && !bem.uniform_lattice() &&
-                          options.hmatrix.use != HmatrixUse::Off &&
-                          bem.node_count() >= options.hmatrix.node_threshold;
-        backend = (toeplitz || hmat) ? SolverBackend::Iterative
-                                     : SolverBackend::Direct;
+        // One crossover: the matrix-free operators (Toeplitz on a uniform
+        // lattice, ACA/H-matrix otherwise) win at or above the node
+        // threshold unless assembly is Direct; dense direct below it. The
+        // chosen operator family is observable via the em.backend.* counters.
+        const bool iterative = bem.options().assembly != AssemblyMode::Direct &&
+                               bem.node_count() >= options.auto_node_threshold;
+        backend = iterative ? SolverBackend::Iterative : SolverBackend::Direct;
         static obs::Counter& c_toe = obs::counter("em.backend.toeplitz");
         static obs::Counter& c_hm = obs::counter("em.backend.hmatrix");
         static obs::Counter& c_dense = obs::counter("em.backend.dense");
-        if (toeplitz)
-            ++c_toe;
-        else if (hmat)
-            ++c_hm;
-        else
+        if (!iterative)
             ++c_dense;
+        else if (bem.uniform_lattice())
+            ++c_toe;
+        else
+            ++c_hm;
     }
     if (backend == SolverBackend::Iterative)
         return std::make_unique<IterativeSolver>(bem, zs, options);

@@ -8,9 +8,10 @@
 //                   b = (1/jω) P Ppot J
 //
 // (the nodal unknowns V = Ppot·Q eliminated through charge conservation
-// Q = (J − PᵀI)/jω), and L / Ppot act through the FFT-accelerated
-// block-Toeplitz InteractionOperators of the PlaneBem — O(M log M) per
-// application. The Krylov solver is restarted GMRES, right-preconditioned
+// Q = (J − PᵀI)/jω), and L / Ppot act through the PlaneBem's
+// InteractionOperators: FFT-accelerated block-Toeplitz on a uniform lattice,
+// ACA/H-matrix (em/hmatrix.hpp) otherwise — O(M log M) per application
+// either way. Solvers on one PlaneBem share its operators. The Krylov solver is restarted GMRES, right-preconditioned
 // by block-Jacobi over geometric tiles of current cells. A tile spans both
 // branch directions, so the local plaquette loop currents — the nullspace
 // of the nodal term P Ppot Pᵀ, where A reduces to the off-diagonally
@@ -24,17 +25,13 @@
 // solutions (see sweep_impedance).
 //
 // Port impedances follow from V = (1/jω) Ppot (J − Pᵀ I). Results agree
-// with DirectSolver to the GMRES tolerance. A frequency whose true residual
-// exceeds SolverOptions::fail_tol is recomputed by the dense DirectSolver
-// under RecoveryPolicy::Recover, or throws under Strict; it never returns
-// a silently inaccurate Z. On non-uniform meshes the setup compresses P and
-// L into ACA/H-matrix operators (em/hmatrix.hpp) — O(N log N) assembly and
-// apply — per SolverOptions::hmatrix; only tiny meshes (or HmatrixUse::Off)
-// keep the exact dense-product fallback.
+// with DirectSolver to the GMRES tolerance. A frequency whose true relative
+// residual exceeds 1e-8 is recomputed by the dense DirectSolver under
+// RecoveryPolicy::Recover, or throws under Strict; it never returns a
+// silently inaccurate Z.
 #pragma once
 
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "em/solver.hpp"
@@ -71,8 +68,8 @@ struct IterativeSolverStats {
     std::size_t recycle_applies = 0;
     std::size_t saved_iterations = 0;
     /// H-matrix operator-path telemetry, aggregated over the P part and both
-    /// L direction parts. `hmatrix` is true when the setup compressed the
-    /// operators; the counts mirror HmatrixStats.
+    /// L direction parts. `hmatrix` is true when the PlaneBem's operators
+    /// are compressed; the counts mirror HmatrixStats of their build.
     bool hmatrix = false;
     std::size_t aca_blocks = 0;          ///< low-rank (ACA) blocks kept
     std::size_t aca_dense_blocks = 0;    ///< near-field + fallback dense blocks
@@ -118,8 +115,8 @@ public:
     /// read while a sweep is in flight.
     const IterativeSolverStats& stats() const { return stats_; }
 
-    /// Recoveries performed so far (dense fallbacks). Do not read while a
-    /// sweep is in flight.
+    /// Recoveries performed so far: the operators' ACA ladder events, then
+    /// dense fallbacks. Do not read while a sweep is in flight.
     const robust::RecoveryReport& recovery_report() const { return report_; }
 
 private:
@@ -155,13 +152,10 @@ private:
     SolverOptions options_;
 
     mutable std::once_flag setup_once_;
-    /// ACA-compressed P and L operators when the setup chose the H-matrix
-    /// path (see SolverOptions::hmatrix); empty on the Toeplitz/dense paths.
-    mutable std::optional<InteractionOperator> hm_pop_, hm_lop_;
     mutable std::vector<double> zs_scale_;              ///< len/width per branch
     mutable std::vector<std::vector<std::size_t>> tiles_; ///< branch ids per tile
     /// Frequency-independent preconditioner entries, cached at setup from
-    /// the active operators (Toeplitz, H-matrix or dense): per-tile L and
+    /// the operators' exact entries (Toeplitz or H-matrix): per-tile L and
     /// S = PᵀPpotP blocks. A(ω) tiles reassemble as jωL + S/jω + Zs
     /// without re-sampling a single kernel entry.
     mutable std::vector<MatrixD> tile_l_, tile_s_;

@@ -11,8 +11,10 @@
 // solve the M×M branch system (the loop/branch-space form of Zhu et al.)
 //     (Zs + jωL + P Ppot Pᵀ/jω) I = P Ppot J/jω
 // with one right-hand side per port: DirectSolver with one dense complex
-// LU per frequency, IterativeSolver matrix-free with block GMRES. Neither
-// forms C; DirectSolver::nodal_admittance stays as the node-space oracle.
+// LU per frequency, IterativeSolver matrix-free with block GMRES over the
+// PlaneBem's Toeplitz or H-matrix operators. make_solver's Auto picks
+// between them by mesh size alone. Neither forms C;
+// DirectSolver::nodal_admittance stays as the node-space oracle.
 #pragma once
 
 #include <memory>
@@ -21,17 +23,15 @@
 
 #include "common/robust.hpp"
 #include "em/bem_plane.hpp"
-#include "em/hmatrix.hpp"
 #include "numeric/gmres.hpp"
 
 namespace pgsi {
 
 /// Which frequency-domain solver implementation runs a sweep.
 enum class SolverBackend {
-    Auto,     ///< Iterative when the mesh supports a matrix-free operator
-              ///< path (Toeplitz on uniform lattices, ACA/H-matrix on
-              ///< non-uniform meshes) and is large enough to profit;
-              ///< Direct otherwise
+    Auto,     ///< Iterative at or above SolverOptions::auto_node_threshold
+              ///< nodes unless assembly is Direct (Toeplitz operators on
+              ///< uniform lattices, ACA/H-matrix otherwise); Direct below
     Direct,   ///< dense branch-system LU per frequency (reference path)
     Iterative ///< matrix-free block GMRES (FFT or H-matrix operators),
               ///< swept by the cross-frequency sweep engine
@@ -40,24 +40,15 @@ enum class SolverBackend {
 /// Backend selection and iterative-path tuning knobs.
 struct SolverOptions {
     SolverBackend backend = SolverBackend::Auto;
-    /// Auto picks Iterative at or above this many mesh nodes (when the mesh
-    /// is uniform-lattice and assembly is not Direct).
+    /// Auto picks Iterative at or above this many mesh nodes (when assembly
+    /// is not Direct), on either operator family.
     std::size_t auto_node_threshold = 400;
     GmresOptions gmres; ///< restart / iteration budget / target residual
-    /// An iterative solve whose final true relative residual exceeds this
-    /// is either recovered (dense-LU fallback, per `recovery`) or raises
-    /// NumericalError instead of returning a silently inaccurate Z.
-    double fail_tol = 1e-8;
     /// Recovery policy of the iterative backend. Under Recover (default) a
-    /// frequency whose GMRES solve stalls is recomputed by the dense direct
-    /// solver; Strict throws NumericalError instead.
+    /// frequency whose GMRES solve stalls (true relative residual above
+    /// 1e-8) is recomputed by the dense direct solver; Strict throws
+    /// NumericalError instead.
     robust::RecoveryOptions recovery;
-    /// ACA/H-matrix operator-compression knobs of the iterative backend on
-    /// non-uniform meshes (em/hmatrix.hpp). Under HmatrixUse::Auto the setup
-    /// compresses P and L when the mesh has no uniform lattice and is at or
-    /// above hmatrix.node_threshold nodes; Force always compresses;
-    /// Off keeps the dense-product fallback.
-    HmatrixOptions hmatrix;
 };
 
 /// Common interface of the frequency-domain plane solvers: Z-parameters at

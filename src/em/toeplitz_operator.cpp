@@ -167,15 +167,6 @@ InteractionOperator InteractionOperator::hmatrix(
     return op;
 }
 
-InteractionOperator InteractionOperator::dense(const MatrixD* m) {
-    PGSI_REQUIRE(m != nullptr && m->rows() == m->cols(),
-                 "InteractionOperator: dense matrix must be square");
-    InteractionOperator op;
-    op.size_ = m->rows();
-    op.dense_ = m;
-    return op;
-}
-
 void InteractionOperator::apply(const VectorC& x, VectorC& y) const {
     apply_pair(*this, x, y, nullptr, nullptr, nullptr);
 }
@@ -188,7 +179,7 @@ void InteractionOperator::apply_pair(const InteractionOperator& a,
 }
 
 bool InteractionOperator::family_tasks() const {
-    if (dense_ || !hmats_.empty()) return false;
+    if (!hmats_.empty()) return false;
     for (const ToeplitzFamily& fam : families_)
         if (fam.splits()) return false;
     return true;
@@ -243,19 +234,6 @@ void InteractionOperator::apply_pair(const InteractionOperator& a,
 void InteractionOperator::apply_one(const VectorC& x, VectorC& y) const {
     PGSI_REQUIRE(x.size() == size_, "InteractionOperator: size mismatch");
     y.assign(size_, Complex{});
-    if (dense_) {
-        static obs::Counter& c_dense = obs::counter("interaction_op.dense_applies");
-        ++c_dense;
-        par::parallel_for_chunked(size_, 0, [&](std::size_t r0, std::size_t r1) {
-            for (std::size_t i = r0; i < r1; ++i) {
-                const double* row = dense_->row(i);
-                Complex s{};
-                for (std::size_t j = 0; j < size_; ++j) s += row[j] * x[j];
-                y[i] = s;
-            }
-        });
-        return;
-    }
     if (!hmats_.empty()) {
         static obs::Counter& c_hm = obs::counter("interaction_op.hmatrix_applies");
         ++c_hm;
@@ -279,7 +257,6 @@ void InteractionOperator::apply_one(const VectorC& x, VectorC& y) const {
 
 double InteractionOperator::entry(std::size_t i, std::size_t j) const {
     PGSI_ASSERT(i < size_ && j < size_);
-    if (dense_) return (*dense_)(i, j);
     if (family_of_[i] != family_of_[j]) return 0.0;
     const std::size_t f = static_cast<std::size_t>(family_of_[i]);
     if (!hmats_.empty()) return hmats_[f]->entry(local_of_[i], local_of_[j]);

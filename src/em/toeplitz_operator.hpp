@@ -30,8 +30,9 @@
 //
 // InteractionOperator is the uniform front the solvers consume: it applies
 // either a set of Toeplitz element families (x/y current cells are separate,
-// mutually uncoupled families) or a plain dense matrix on meshes without the
-// lattice structure.
+// mutually uncoupled families) or, on meshes without the lattice structure,
+// one ACA-compressed H-matrix per family (em/hmatrix.hpp). PlaneBem chooses
+// and owns both forms.
 #pragma once
 
 #include <memory>
@@ -81,10 +82,10 @@ private:
     Fft fx_, fy_;
 };
 
-/// One assembled interaction matrix behind a uniform apply/entry interface:
-/// matrix-free via Toeplitz families on uniform meshes or ACA-compressed
-/// H-matrices (em/hmatrix.hpp) on non-uniform ones, dense fallback otherwise.
-/// Cross-family entries are structurally zero.
+/// One interaction matrix behind a uniform apply/entry interface, never
+/// assembled densely: Toeplitz families on uniform meshes or ACA-compressed
+/// H-matrices (em/hmatrix.hpp) otherwise. Cross-family entries are
+/// structurally zero.
 class InteractionOperator {
 public:
     /// Matrix-free form. idx[f] maps family-f-local element order to global
@@ -99,11 +100,7 @@ public:
         std::vector<std::shared_ptr<const Hmatrix>> parts,
         std::vector<std::vector<std::size_t>> idx, std::size_t size);
 
-    /// Dense form over an externally owned matrix (must outlive the operator).
-    static InteractionOperator dense(const MatrixD* m);
-
     std::size_t size() const { return size_; }
-    bool matrix_free() const { return dense_ == nullptr; }
     /// True for the H-matrix (ACA-compressed) form.
     bool compressed() const { return !hmats_.empty(); }
     /// The H-matrix parts (empty unless compressed()) — build telemetry.
@@ -122,7 +119,7 @@ public:
                            VectorC& ya, const InteractionOperator& b,
                            const VectorC& xb, VectorC& yb);
 
-    /// Exact matrix entry (table lookup or dense read).
+    /// Exact matrix entry (table lookup or the H-matrix's entry kernel).
     double entry(std::size_t i, std::size_t j) const;
 
 private:
@@ -138,7 +135,6 @@ private:
     void apply_one(const VectorC& x, VectorC& y) const;
 
     std::size_t size_ = 0;
-    const MatrixD* dense_ = nullptr;
     std::vector<ToeplitzFamily> families_;
     std::vector<std::shared_ptr<const Hmatrix>> hmats_;
     std::vector<std::vector<std::size_t>> idx_;

@@ -356,20 +356,21 @@ CheckResult inv_backend_iterative(const InvariantContext& ctx) {
     return r;
 }
 
-// ACA/H-matrix operator compression must not move the answer: a forced
-// H-matrix iterative solve has to reproduce the dense direct solve on every
-// generated geometry — the stretched, L-shape, and antipad scenarios are
-// exactly the non-uniform meshes the compressed path exists for, and the
-// compressed path has to actually engage (a solver that silently kept the
-// dense products would pass equivalence while testing nothing).
+// ACA/H-matrix operator compression must not move the answer: an H-matrix
+// iterative solve has to reproduce the dense direct solve on every generated
+// geometry — the stretched, L-shape, and antipad scenarios are exactly the
+// non-uniform meshes the compressed path exists for, and a Direct-assembly
+// model forces it on the uniform ones. The compressed path has to actually
+// engage (a solver on other operators would pass equivalence while testing
+// nothing).
 CheckResult inv_hmatrix_equivalence(const InvariantContext& ctx) {
     CheckResult r;
     r.invariant = "hmatrix_equivalence";
     r.tolerance = ctx.tol.hmatrix;
     SolverOptions opt;
     opt.backend = SolverBackend::Iterative;
-    opt.hmatrix.use = HmatrixUse::Force;
-    const IterativeSolver iter(ctx.bem, ctx.scenario.surface_impedance(), opt);
+    const PlaneBem bem = ctx.scenario.make_bem(AssemblyMode::Direct);
+    const IterativeSolver iter(bem, ctx.scenario.surface_impedance(), opt);
     for (const double f : {0.35 * ctx.f10, 0.9 * ctx.f10}) {
         const MatrixC zd = ctx.direct.port_impedance(f, ctx.ports);
         const MatrixC zh = iter.port_impedance(f, ctx.ports);

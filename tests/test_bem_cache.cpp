@@ -9,6 +9,8 @@
 
 #include "common/parallel.hpp"
 #include "em/bem_plane.hpp"
+#include "em/iterative_solver.hpp"
+#include "obs/trace.hpp"
 #include "tests/test_util.hpp"
 
 using namespace pgsi;
@@ -154,6 +156,52 @@ TEST(BemCache, ResultsInvariantAcrossThreadCounts) {
     }
 }
 
+// The dense fills and the on-demand entries share one kernel: a Direct fill
+// is potential_entry / inductance_entry on the lower triangle, and a Cached
+// fill is the table lookup the Toeplitz operators read. Bit for bit, on
+// both testing procedures.
+TEST(BemCache, DenseFillsEqualEntryKernelsBitwise) {
+    const auto same = [](double a, double b) {
+        return std::memcmp(&a, &b, sizeof a) == 0;
+    };
+    for (const Testing testing : {Testing::PointMatching, Testing::Galerkin})
+        for (const bool holey : {true, false})
+            for (const AssemblyMode mode :
+                 {AssemblyMode::Direct, AssemblyMode::Cached}) {
+                if (!holey && mode == AssemblyMode::Cached) continue;
+                const PlaneBem bem = make(holey ? holey_mesh()
+                                                : nonuniform_mesh(),
+                                          mode, testing);
+                const bool direct = mode == AssemblyMode::Direct;
+                const MatrixD& p = bem.potential_matrix();
+                const MatrixD& l = bem.inductance_matrix();
+                if (!direct) {
+                    ASSERT_TRUE(bem.stats().potential_cached);
+                    ASSERT_TRUE(bem.stats().inductance_cached);
+                }
+                const InteractionOperator* pop =
+                    direct ? nullptr : &bem.potential_operator();
+                const InteractionOperator* lop =
+                    direct ? nullptr : &bem.inductance_operator();
+                std::size_t mismatches = 0;
+                for (std::size_t i = 0; i < p.rows(); ++i)
+                    for (std::size_t j = 0; j < p.cols(); ++j)
+                        mismatches += !same(p(i, j),
+                                            direct ? bem.potential_entry(i, j)
+                                                   : pop->entry(std::max(i, j),
+                                                                std::min(i, j)));
+                for (std::size_t a = 0; a < l.rows(); ++a)
+                    for (std::size_t b = 0; b < l.cols(); ++b)
+                        mismatches += !same(l(a, b),
+                                            direct ? bem.inductance_entry(a, b)
+                                                   : lop->entry(std::max(a, b),
+                                                                std::min(a, b)));
+                EXPECT_EQ(mismatches, 0u)
+                    << "testing=" << static_cast<int>(testing)
+                    << " holey=" << holey << " mode=" << static_cast<int>(mode);
+            }
+}
+
 TEST(BemLazy, ConcurrentFirstUseFillsEachMemberOnce) {
     // Eight threads race to the first use of two lazily filled members that
     // share the potential table: every thread must get the one cached
@@ -200,4 +248,86 @@ TEST(BemLazy, MoveKeepsFilledMembers) {
     const PlaneBem moved(std::move(bem));
     EXPECT_EQ(&moved.maxwell_capacitance(), cap);
     EXPECT_TRUE(moved.stats().potential_cached);
+}
+
+namespace {
+
+std::vector<std::size_t> nonuniform_ports(const PlaneBem& bem) {
+    return {bem.mesh().nearest_node({0.002, 0.004}, 0),
+            bem.mesh().nearest_node({0.018, 0.004}, 1)};
+}
+
+SolverOptions iterative_options() {
+    SolverOptions opt;
+    opt.backend = SolverBackend::Iterative;
+    return opt;
+}
+
+bool same_bits(const MatrixC& a, const MatrixC& b) {
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(),
+                       a.rows() * a.cols() * sizeof(Complex)) == 0;
+}
+
+} // namespace
+
+// The PlaneBem owns its compressed operators: two solvers on one model
+// build each H-matrix part (P and the two L directions) once between them,
+// and read the same operators.
+TEST(BemLazy, CompressedOperatorSharedAcrossSolvers) {
+    const PlaneBem bem(nonuniform_mesh(), Greens::homogeneous(4.4, true));
+    ASSERT_FALSE(bem.uniform_lattice());
+    const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
+    const std::vector<std::size_t> ports = nonuniform_ports(bem);
+
+    obs::set_trace_enabled(true);
+    obs::reset_trace();
+    const IterativeSolver first(bem, zs, iterative_options());
+    const MatrixC z1 = first.port_impedance(5e8, ports);
+    const IterativeSolver second(bem, zs, iterative_options());
+    const MatrixC z2 = second.port_impedance(5e8, ports);
+    std::size_t builds = 0;
+    for (const obs::SpanTotal& t : obs::span_totals()) {
+        const std::string leaf = "em.hmatrix.build";
+        if (t.path.size() >= leaf.size() &&
+            t.path.compare(t.path.size() - leaf.size(), leaf.size(), leaf) == 0)
+            builds += t.count;
+    }
+    obs::set_trace_enabled(false);
+    obs::reset_trace();
+
+    EXPECT_EQ(builds, 3u);
+    EXPECT_EQ(bem.potential_operator().hmatrix_parts().size(), 1u);
+    EXPECT_EQ(bem.inductance_operator().hmatrix_parts().size(), 2u);
+    EXPECT_TRUE(same_bits(z1, z2));
+    EXPECT_TRUE(first.stats().hmatrix);
+    EXPECT_TRUE(second.stats().hmatrix);
+    EXPECT_EQ(first.stats().aca_blocks + first.stats().aca_dense_blocks,
+              second.stats().aca_blocks + second.stats().aca_dense_blocks);
+}
+
+// The compressed operators keep no pointer to the PlaneBem that built them:
+// after a move (and the source's destruction) a solver on the moved model
+// samples the H-matrix entry kernels for its preconditioner and must
+// reproduce an unmoved model's Z bit for bit.
+TEST(BemLazy, MoveKeepsCompressedOperator) {
+    const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
+    const PlaneBem still(nonuniform_mesh(), Greens::homogeneous(4.4, true));
+    const MatrixC want = IterativeSolver(still, zs, iterative_options())
+                             .port_impedance(5e8, nonuniform_ports(still));
+
+    auto source = std::make_unique<PlaneBem>(nonuniform_mesh(),
+                                             Greens::homogeneous(4.4, true));
+    const InteractionOperator* pop = &source->potential_operator();
+    const InteractionOperator* lop = &source->inductance_operator();
+    ASSERT_TRUE(pop->compressed());
+    const PlaneBem moved(std::move(*source));
+    source.reset();
+    EXPECT_EQ(&moved.potential_operator(), pop);
+    EXPECT_EQ(&moved.inductance_operator(), lop);
+
+    const IterativeSolver solver(moved, zs, iterative_options());
+    EXPECT_TRUE(same_bits(solver.port_impedance(5e8, nonuniform_ports(moved)),
+                          want));
+    EXPECT_TRUE(solver.stats().hmatrix);
 }

@@ -340,7 +340,6 @@ TEST(Hmatrix, SolverCompressionMatchesDirectSolve) {
 
     SolverOptions opt;
     opt.backend = SolverBackend::Iterative;
-    opt.hmatrix.node_threshold = 1; // compress even this small mesh
     const IterativeSolver iterative(bem, zs, opt);
     const std::vector<std::size_t> ports{
         bem.mesh().nearest_node({0.002, 0.004}, 0),
@@ -365,7 +364,6 @@ TEST(Hmatrix, ForcedCompressionBitIdenticalAcrossThreadCounts) {
         const PlaneBem bem = make_bem(nonuniform_mesh());
         SolverOptions opt;
         opt.backend = SolverBackend::Iterative;
-        opt.hmatrix.node_threshold = 1;
         const IterativeSolver it(bem, zs, opt);
         const std::vector<std::size_t> ports{
             bem.mesh().nearest_node({0.002, 0.004}, 0),
@@ -401,7 +399,6 @@ TEST(MakeSolverCrossover, NonUniformMeshSelectsHmatrix) {
     const PlaneBem bem = make_bem(nonuniform_mesh());
     SolverOptions opt;
     opt.auto_node_threshold = 1;
-    opt.hmatrix.node_threshold = 1;
     const std::uint64_t hm0 = obs::counter("em.backend.hmatrix").value();
     const std::uint64_t dense0 = obs::counter("em.backend.dense").value();
     EXPECT_STREQ(make_solver(bem, SurfaceImpedance{}, opt)->backend_name(),
@@ -411,23 +408,15 @@ TEST(MakeSolverCrossover, NonUniformMeshSelectsHmatrix) {
 }
 
 TEST(MakeSolverCrossover, TinyMeshSelectsDense) {
-    // Below both thresholds the dense direct solver wins on constants.
-    const PlaneBem bem = make_bem(nonuniform_mesh());
+    // Below the node threshold the dense direct solver wins on constants,
+    // on either operator family.
     SolverOptions opt;
     opt.auto_node_threshold = 100000;
-    opt.hmatrix.node_threshold = 100000;
-    const std::uint64_t dense0 = obs::counter("em.backend.dense").value();
-    EXPECT_STREQ(make_solver(bem, SurfaceImpedance{}, opt)->backend_name(),
-                 "direct");
-    EXPECT_EQ(obs::counter("em.backend.dense").value(), dense0 + 1);
-}
-
-TEST(MakeSolverCrossover, HmatrixOffRestoresDenseRouting) {
-    const PlaneBem bem = make_bem(nonuniform_mesh());
-    SolverOptions opt;
-    opt.auto_node_threshold = 1;
-    opt.hmatrix.node_threshold = 1;
-    opt.hmatrix.use = HmatrixUse::Off;
-    EXPECT_STREQ(make_solver(bem, SurfaceImpedance{}, opt)->backend_name(),
-                 "direct");
+    for (RectMesh mesh : {nonuniform_mesh(), holey_mesh()}) {
+        const PlaneBem bem = make_bem(std::move(mesh));
+        const std::uint64_t dense0 = obs::counter("em.backend.dense").value();
+        EXPECT_STREQ(make_solver(bem, SurfaceImpedance{}, opt)->backend_name(),
+                     "direct");
+        EXPECT_EQ(obs::counter("em.backend.dense").value(), dense0 + 1);
+    }
 }

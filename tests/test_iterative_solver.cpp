@@ -5,6 +5,7 @@
 #include "common/parallel.hpp"
 #include "common/robust.hpp"
 #include "em/iterative_solver.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tests/test_util.hpp"
 #include "em/solver.hpp"
@@ -38,8 +39,8 @@ RectMesh split_plane_mesh() {
     return RectMesh({a, b, c}, 0.001);
 }
 
-// Shapes of incommensurate widths: no common lattice, forcing the operators
-// onto the exact dense fallback.
+// Shapes of incommensurate widths: no common lattice, so the PlaneBem's
+// operators are ACA/H-matrices.
 RectMesh nonuniform_mesh() {
     ConductorShape a;
     a.outline = Polygon::rectangle(0, 0, 0.010, 0.008);
@@ -50,9 +51,11 @@ RectMesh nonuniform_mesh() {
     return RectMesh({a, b}, 0.001);
 }
 
-PlaneBem make_bem(RectMesh mesh, AssemblyMode mode = AssemblyMode::Auto) {
+PlaneBem make_bem(RectMesh mesh, AssemblyMode mode = AssemblyMode::Auto,
+                  HmatrixOptions hopt = {}) {
     BemOptions opt;
     opt.assembly = mode;
+    opt.hmatrix = hopt;
     return PlaneBem(std::move(mesh), Greens::homogeneous(4.2, true), opt);
 }
 
@@ -79,20 +82,14 @@ SolverOptions iterative_options() {
 // Frequency grid of the recorded-reference and concurrency cases.
 const VectorD kRefFreqs{1e8, 2e8, 4e8, 7e8, 1e9};
 
-// Iterative options on the Toeplitz plane (holey_mesh) or, with `hmatrix`,
-// ACA-compressed operators forced onto the non-uniform two-shape mesh (a
-// leaf size small enough that the tree has well-separated blocks).
-SolverOptions operator_path_options(bool hmatrix) {
-    SolverOptions opt = iterative_options();
-    if (hmatrix) {
-        opt.hmatrix.use = HmatrixUse::Force;
-        opt.hmatrix.leaf_size = 16;
-    }
-    return opt;
-}
-
+// The Toeplitz plane (holey_mesh) or, with `hmatrix`, the non-uniform
+// two-shape mesh with its ACA-compressed operators (a leaf size small enough
+// that the tree has well-separated blocks).
 PlaneBem operator_path_bem(bool hmatrix) {
-    return make_bem(hmatrix ? nonuniform_mesh() : holey_mesh());
+    if (!hmatrix) return make_bem(holey_mesh());
+    HmatrixOptions hopt;
+    hopt.leaf_size = 16;
+    return make_bem(nonuniform_mesh(), AssemblyMode::Auto, hopt);
 }
 
 std::vector<std::size_t> operator_path_ports(const PlaneBem& bem,
@@ -110,7 +107,7 @@ std::vector<MatrixC> reference_case(std::size_t c) {
     const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
     const bool hmatrix = c == 2 || c == 3;
     const PlaneBem bem = operator_path_bem(hmatrix);
-    const IterativeSolver solver(bem, zs, operator_path_options(hmatrix));
+    const IterativeSolver solver(bem, zs, iterative_options());
     return solver.sweep_impedance(kRefFreqs,
                                   operator_path_ports(bem, c % 2 == 0 ? 1 : 2));
 }
@@ -132,8 +129,7 @@ TEST(IterativeSolver, MatchesDirectOnHoleyMesh) {
     for (std::size_t i = 0; i < freqs.size(); ++i)
         EXPECT_LT(max_rel_diff(zi[i], zd[i]), 1e-8) << "f = " << freqs[i];
     EXPECT_GT(iterative.stats().iterations, 0u);
-    EXPECT_LE(iterative.stats().worst_residual,
-              iterative.options().fail_tol);
+    EXPECT_LE(iterative.stats().worst_residual, 1e-8);
 }
 
 TEST(IterativeSolver, MatchesDirectOnSplitPlanes) {
@@ -152,28 +148,34 @@ TEST(IterativeSolver, MatchesDirectOnSplitPlanes) {
     EXPECT_LT(max_rel_diff(zi[0], zd[0]), 1e-8);
 }
 
-TEST(IterativeSolver, DenseFallbackOnNonUniformMesh) {
+// Even a small non-uniform mesh gets compressed operators: the iterative
+// solve never fills a dense P or L.
+TEST(IterativeSolver, CompressedOperatorsOnNonUniformMesh) {
     const PlaneBem bem = make_bem(nonuniform_mesh());
     EXPECT_FALSE(bem.uniform_lattice());
-    EXPECT_FALSE(bem.potential_operator().matrix_free());
-    EXPECT_FALSE(bem.inductance_operator().matrix_free());
 
     const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
-    const DirectSolver direct(bem, zs);
     const IterativeSolver iterative(bem, zs, iterative_options());
     const std::vector<std::size_t> ports{
         bem.mesh().nearest_node({0.002, 0.004}, 0),
         bem.mesh().nearest_node({0.018, 0.004}, 1)};
-    const MatrixC zd = direct.port_impedance(5e8, ports);
+    obs::Counter& fills = obs::counter("bem.assembly.direct_fills");
+    const std::uint64_t fills0 = fills.value();
     const MatrixC zi = iterative.port_impedance(5e8, ports);
-    EXPECT_LT(max_rel_diff(zi, zd), 1e-8);
+    EXPECT_EQ(fills.value(), fills0);
+    EXPECT_TRUE(bem.potential_operator().compressed());
+    EXPECT_TRUE(bem.inductance_operator().compressed());
+    EXPECT_TRUE(iterative.stats().hmatrix);
+
+    const DirectSolver direct(bem, zs);
+    EXPECT_LT(max_rel_diff(zi, direct.port_impedance(5e8, ports)), 1e-8);
 }
 
 TEST(IterativeSolver, UniformMeshUsesMatrixFreeOperators) {
     const PlaneBem bem = make_bem(holey_mesh());
     EXPECT_TRUE(bem.uniform_lattice());
-    EXPECT_TRUE(bem.potential_operator().matrix_free());
-    EXPECT_TRUE(bem.inductance_operator().matrix_free());
+    EXPECT_FALSE(bem.potential_operator().compressed());
+    EXPECT_FALSE(bem.inductance_operator().compressed());
 }
 
 TEST(IterativeSolver, ResultsInvariantAcrossThreadCounts) {
@@ -223,29 +225,18 @@ TEST(MakeSolver, AutoSelectsBySizeAndLattice) {
         EXPECT_STREQ(make_solver(bem, zs, opt)->backend_name(), "iterative");
     }
     {
-        // Non-uniform mesh below the H-matrix node threshold -> direct.
+        // The same threshold routes a non-uniform mesh: below -> direct.
         const PlaneBem bem = make_bem(nonuniform_mesh());
         SolverOptions opt;
-        opt.auto_node_threshold = 1;
+        opt.auto_node_threshold = 100000;
         EXPECT_STREQ(make_solver(bem, zs, opt)->backend_name(), "direct");
     }
     {
-        // Non-uniform mesh above the H-matrix node threshold -> iterative
-        // (the compressed-operator path replaces the old dense fallback).
+        // ... at or above -> iterative on the compressed operators.
         const PlaneBem bem = make_bem(nonuniform_mesh());
         SolverOptions opt;
         opt.auto_node_threshold = 1;
-        opt.hmatrix.node_threshold = 1;
         EXPECT_STREQ(make_solver(bem, zs, opt)->backend_name(), "iterative");
-    }
-    {
-        // Opting out of compression restores the dense routing.
-        const PlaneBem bem = make_bem(nonuniform_mesh());
-        SolverOptions opt;
-        opt.auto_node_threshold = 1;
-        opt.hmatrix.node_threshold = 1;
-        opt.hmatrix.use = HmatrixUse::Off;
-        EXPECT_STREQ(make_solver(bem, zs, opt)->backend_name(), "direct");
     }
     {
         // Direct-only assembly disables the operator path.
@@ -270,7 +261,6 @@ TEST(IterativeSolver, StalledSolveThrowsInsteadOfReturningGarbage) {
     opt.gmres.max_iterations = 1;
     opt.gmres.restart = 1;
     opt.gmres.tol = 1e-14;
-    opt.fail_tol = 1e-14;
     opt.recovery.policy = robust::RecoveryPolicy::Strict;
     const IterativeSolver iterative(bem, zs, opt);
     const std::vector<std::size_t> ports{
@@ -285,12 +275,11 @@ TEST(IterativeSolver, StalledSolveRecoversThroughDenseFallback) {
     opt.gmres.max_iterations = 1;
     opt.gmres.restart = 1;
     opt.gmres.tol = 1e-14;
-    opt.fail_tol = 1e-14;
     const IterativeSolver iterative(bem, zs, opt);
     const std::vector<std::size_t> ports{
         bem.mesh().nearest_node({0.002, 0.002}, 0)};
     const MatrixC z = iterative.port_impedance(1e9, ports);
-    EXPECT_GE(iterative.stats().dense_fallbacks, 1u);
+    EXPECT_EQ(iterative.stats().dense_fallbacks, 1u);
     EXPECT_TRUE(iterative.recovery_report().any());
 
     const DirectSolver direct(bem, zs);
@@ -465,7 +454,7 @@ TEST(IterativeSolver, ConcurrentPortImpedanceMatchesSerialBitForBit) {
     const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
     for (const bool hmatrix : {false, true}) {
         const PlaneBem bem = operator_path_bem(hmatrix);
-        const SolverOptions opt = operator_path_options(hmatrix);
+        const SolverOptions opt = iterative_options();
         for (const std::size_t np : {1u, 2u}) {
             const std::vector<std::size_t> ports = operator_path_ports(bem, np);
             const IterativeSolver shared(bem, zs, opt);
@@ -498,7 +487,7 @@ TEST(IterativeSolver, SweepSpansNestAndLeaveZUnchanged) {
     for (const bool hmatrix : {false, true}) {
         const PlaneBem bem = operator_path_bem(hmatrix);
         const std::vector<std::size_t> ports = operator_path_ports(bem, 2);
-        const SolverOptions opt = operator_path_options(hmatrix);
+        const SolverOptions opt = iterative_options();
         obs::set_trace_enabled(false);
         const std::vector<MatrixC> plain =
             IterativeSolver(bem, zs, opt).sweep_impedance(kRefFreqs, ports);

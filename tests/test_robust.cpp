@@ -342,6 +342,17 @@ PlaneBem small_bem() {
     return PlaneBem(small_plane_mesh(), Greens::homogeneous(4.2, true), {});
 }
 
+// The same plane with ACA/H-matrix operators: Direct assembly keeps the
+// uniform lattice off the Toeplitz path. At the default leaf size the
+// 120-node tree has no well-separated cluster pairs, so no ACA would run and
+// no fault could fire.
+PlaneBem compressed_small_bem() {
+    BemOptions opt;
+    opt.assembly = AssemblyMode::Direct;
+    opt.hmatrix.leaf_size = 16;
+    return PlaneBem(small_plane_mesh(), Greens::homogeneous(4.2, true), opt);
+}
+
 double max_rel_diff(const MatrixC& a, const MatrixC& b) {
     double scale = 1e-300, diff = 0;
     for (std::size_t i = 0; i < a.rows(); ++i)
@@ -394,14 +405,10 @@ TEST_F(Robust, StrictIterativeSolverReproducesTheStallThrow) {
 }
 
 TEST_F(Robust, InjectedAcaMissRecoversByTighteningTolerance) {
-    const PlaneBem bem = small_bem();
+    const PlaneBem bem = compressed_small_bem();
     const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
     SolverOptions opt;
     opt.backend = SolverBackend::Iterative;
-    opt.hmatrix.use = HmatrixUse::Force;
-    // At the default leaf size the 120-node tree has no well-separated
-    // cluster pairs, so no ACA runs and no fault can fire.
-    opt.hmatrix.leaf_size = 16;
     const IterativeSolver iterative(bem, zs, opt);
     const std::vector<std::size_t> ports{
         bem.mesh().nearest_node({0.002, 0.002}, 0)};
@@ -424,12 +431,10 @@ TEST_F(Robust, InjectedAcaMissRecoversByTighteningTolerance) {
 }
 
 TEST_F(Robust, InjectedAcaRetryFailureAssemblesExactDenseBlocks) {
-    const PlaneBem bem = small_bem();
+    const PlaneBem bem = compressed_small_bem();
     const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
     SolverOptions opt;
     opt.backend = SolverBackend::Iterative;
-    opt.hmatrix.use = HmatrixUse::Force;
-    opt.hmatrix.leaf_size = 16; // see InjectedAcaMissRecoversByTightening
     const IterativeSolver iterative(bem, zs, opt);
     const std::vector<std::size_t> ports{
         bem.mesh().nearest_node({0.002, 0.002}, 0)};

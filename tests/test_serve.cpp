@@ -489,9 +489,17 @@ TEST_F(ServeEnv, RetryLadderRecoversAFlakyJob) {
 }
 
 TEST_F(ServeEnv, CancelAllAbandonsTheCampaign) {
+    // The first attempt to start faults, and its job parks in an hour-long
+    // retry backoff that only a cancellation cuts short: that job stays in
+    // flight until cancel_all lands, however the threads are scheduled.
     std::vector<serve::JobSpec> jobs;
-    for (int i = 0; i < 8; ++i)
-        jobs.push_back(transient_spec("tran" + std::to_string(i), i % 2));
+    for (int i = 0; i < 8; ++i) {
+        serve::JobSpec spec = transient_spec("tran" + std::to_string(i), i % 2);
+        spec.max_retries = 1;
+        spec.backoff_s = 3600;
+        jobs.push_back(std::move(spec));
+    }
+    robust::FaultInjector::arm("serve.job", 1, 1);
 
     serve::ModelCache cache;
     serve::BatchOptions opt;
@@ -499,8 +507,7 @@ TEST_F(ServeEnv, CancelAllAbandonsTheCampaign) {
     serve::JobQueue queue(opt);
 
     // Hammer cancel_all from another thread for the whole run: every job
-    // reaches a terminal state (containment), and — since the canceller
-    // starts before any job can finish a full transient — at least one job
+    // reaches a terminal state (containment), and at least the parked job
     // is abandoned at a cancellation point.
     std::atomic<bool> done{false};
     std::thread canceller([&] {
@@ -515,6 +522,7 @@ TEST_F(ServeEnv, CancelAllAbandonsTheCampaign) {
 
     EXPECT_EQ(res.stats.cancelled + res.stats.completed, jobs.size());
     EXPECT_GE(res.stats.cancelled, 1u);
+    EXPECT_EQ(res.stats.retries, 1u);
     for (const serve::JobReport& rep : res.reports) {
         if (rep.state == serve::JobState::Completed) continue;
         EXPECT_EQ(rep.state, serve::JobState::Cancelled) << rep.id;

@@ -83,7 +83,6 @@ VectorC operator_outputs(const PlaneBem& bem) {
     VectorC out;
     for (const InteractionOperator* op :
          {&bem.potential_operator(), &bem.inductance_operator()}) {
-        EXPECT_TRUE(op->matrix_free());
         EXPECT_FALSE(op->compressed());
         VectorC y;
         op->apply(probe(op->size(), 7), y);
