@@ -202,6 +202,24 @@ TEST(BemCache, DenseFillsEqualEntryKernelsBitwise) {
             }
 }
 
+// Digests (%.17g, see test_util.hpp) of the Direct and Cached fills of the
+// holey mesh, recorded from the column-parallel fill: P then L per mode.
+TEST(BemCache, FillsReproduceRecordedDigests) {
+    const std::uint64_t want[][2] = {
+        {0xe45ac8f650f19863ull, 0x710e31ecc54f4197ull},
+        {0xa3d2197535bc63adull, 0x238c4fd032512a0aull}};
+    int s = 0;
+    for (const AssemblyMode mode : {AssemblyMode::Direct, AssemblyMode::Cached}) {
+        const PlaneBem bem = make(holey_mesh(), mode);
+        const std::uint64_t got[] = {pgsi::test::digest(bem.potential_matrix()),
+                                     pgsi::test::digest(bem.inductance_matrix())};
+        for (int k = 0; k < 2; ++k)
+            EXPECT_EQ(got[k], want[s][k])
+                << "mode=" << s << " " << k << ": 0x" << std::hex << got[k];
+        ++s;
+    }
+}
+
 TEST(BemLazy, ConcurrentFirstUseFillsEachMemberOnce) {
     // Eight threads race to the first use of two lazily filled members that
     // share the potential table: every thread must get the one cached

@@ -6,6 +6,7 @@
 #include "numeric/cholesky.hpp"
 #include "numeric/eigen.hpp"
 #include "numeric/lu.hpp"
+#include "tests/test_util.hpp"
 
 using namespace pgsi;
 
@@ -132,5 +133,50 @@ TEST(Cholesky, MatrixSolveMatchesColumnwiseVectorSolves) {
         const VectorD xj = chol.solve(col);
         for (int i = 0; i < n; ++i)
             EXPECT_NEAR(x(i, j), xj[i], 1e-9) << "col=" << j;
+    }
+}
+
+namespace {
+
+// Symmetric with a dominant positive diagonal, so SPD, built without a
+// matrix product: the digests below then pin the factor kernels alone.
+MatrixD dominant_spd(std::size_t n, unsigned seed) {
+    std::mt19937 rng(seed);
+    std::uniform_real_distribution<double> u(-1.0, 1.0);
+    MatrixD a(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < i; ++j) a(i, j) = a(j, i) = u(rng);
+        a(i, i) = static_cast<double>(n) + u(rng);
+    }
+    return a;
+}
+
+} // namespace
+
+// Digests (%.17g, see test_util.hpp) of the factor and of a 53-column solve,
+// recorded from the row-by-row dot-product kernels. The sizes sit on both
+// sides of the 64-wide blocks and reach the E6 loop count (585).
+TEST(Cholesky, FactorAndSolveReproduceRecordedDigests) {
+    const std::size_t sizes[] = {1, 3, 63, 65, 130, 585};
+    const std::uint64_t want[][2] = {
+        {0x5ee42e20ce08ddabull, 0xc1c829d8a78c0a98ull},
+        {0x4103b1e66f140439ull, 0xd03153b9e11a2686ull},
+        {0xd1ecc7046a330adaull, 0x799edde5e1f04db1ull},
+        {0x76dc1461108c1b74ull, 0x2c7573e5991fa8d7ull},
+        {0x1531899c4876d05cull, 0x0fe5aa417b2dbeb5ull},
+        {0x5a0bb77d40908e85ull, 0x4244b097d423a597ull}};
+    for (std::size_t s = 0; s < 6; ++s) {
+        const std::size_t n = sizes[s];
+        const Cholesky chol(dominant_spd(n, 70 + static_cast<unsigned>(n)));
+        std::mt19937 rng(71);
+        std::uniform_real_distribution<double> u(-1.0, 1.0);
+        MatrixD b(n, 53);
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < 53; ++j) b(i, j) = u(rng);
+        const std::uint64_t got[] = {test::digest(chol.factor()),
+                                     test::digest(chol.solve(b))};
+        for (int k = 0; k < 2; ++k)
+            EXPECT_EQ(got[k], want[s][k])
+                << "n=" << n << " " << k << ": 0x" << std::hex << got[k];
     }
 }

@@ -283,6 +283,24 @@ TEST(ExtractEquivalence, BitwiseIdenticalAcrossThreadCounts) {
     }
 }
 
+// Digests (%.17g, see test_util.hpp) of the E6 reduction on board 1998 and
+// of the L and Ppot fills it reads, recorded from the unblocked kernels:
+// Γ_red, C_red, G_red, L, Ppot.
+TEST(ExtractEquivalence, ReduceAndFillsReproduceRecordedDigests) {
+    const E6Plane e = e6_plane(1998);
+    const PlaneBem& bem = e.model->bem();
+    const ReducedMatrices r = CircuitExtractor(bem).reduce(e.keep);
+    const std::uint64_t got[] = {
+        test::digest(r.gamma), test::digest(r.capacitance),
+        test::digest(r.conductance), test::digest(bem.inductance_matrix()),
+        test::digest(bem.potential_matrix())};
+    const std::uint64_t want[] = {0xfe09521a16ca94a6ull, 0x92bd8b8b6da573e0ull,
+                                  0x0af4a27ab7ba79edull, 0x5aa81d80050d45b3ull,
+                                  0xcf2257efd34a6fb7ull};
+    for (int i = 0; i < 5; ++i)
+        EXPECT_EQ(got[i], want[i]) << i << ": 0x" << std::hex << got[i];
+}
+
 TEST(ExtractEquivalence, InjectedCholeskyFaultFallsBackToLu) {
     const PlaneBem bem = make_lshape_with_cutout();
     const CircuitExtractor ex(bem);

@@ -115,9 +115,13 @@ TEST(Matrix, ShapeMismatchThrows) {
 
 // --- Blocked parallel GEMM (numeric/gemm.hpp) -------------------------------
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
 
 #include "common/parallel.hpp"
+#include "numeric/gemm.hpp"
 
 namespace {
 
@@ -197,4 +201,102 @@ TEST(Gemm, ProductBitIdenticalAcrossThreadCounts) {
                 d = std::max(d, std::abs(c1(i, j) - cn(i, j)));
         EXPECT_EQ(d, 0.0) << "threads=" << threads;
     }
+}
+
+namespace {
+
+// C += alpha·A·B on submatrix views: every operand sits at an offset inside
+// a wider allocation, so lda/ldb/ldc exceed the shape. Every fifth entry of
+// A is zero (the sparse-operand skip), and one A row is entirely zero.
+MatrixD strided_update(std::size_t m, std::size_t k, std::size_t n, double alpha,
+                       unsigned seed) {
+    MatrixD a = random_matrix(m + 2, k + 3, seed);
+    const MatrixD b = random_matrix(k + 1, n + 5, seed + 1);
+    MatrixD c = random_matrix(m + 1, n + 2, seed + 2);
+    for (std::size_t i = 0; i < m + 2; ++i)
+        for (std::size_t p = 0; p < k + 3; ++p)
+            if ((i * 7 + p) % 5 == 0 || i == m / 2) a(i, p) = 0.0;
+    detail::gemm_update(alpha, a.row(1) + 2, a.cols(), b.row(1) + 3, b.cols(),
+                        c.row(1) + 1, c.cols(), m, k, n);
+    return c;
+}
+
+} // namespace
+
+// Digests (%.17g, see test_util.hpp) of the real rank-k update, recorded
+// from the row-by-row axpy kernel: ragged shapes on both sides of any
+// 4-wide tile, and k crossing the 256-row packing panel once and twice.
+TEST(Gemm, RealUpdateReproducesRecordedDigests) {
+    struct Shape {
+        std::size_t m, k, n;
+        double alpha;
+    };
+    const Shape shapes[] = {{1, 1, 1, 1.0},      {3, 5, 7, -1.0},
+                            {4, 4, 4, 0.75},     {37, 53, 41, -1.0},
+                            {53, 585, 53, 1.0},  {65, 300, 67, -0.5},
+                            {17, 513, 9, -1.0},  {130, 64, 53, -1.0}};
+    const std::uint64_t want[] = {
+        0xb7a605f8724a61baull, 0xdab7815cc9349440ull, 0x1dbb3d96e101a708ull,
+        0xaa179edd1bb3f1bdull, 0xe369a3c8f14bec83ull, 0xe248b450db711f8aull,
+        0x49da3e8eee4b417full, 0x8daeb2b56a3a360cull};
+    for (std::size_t s = 0; s < 8; ++s) {
+        const Shape& sh = shapes[s];
+        const std::uint64_t got = pgsi::test::digest(
+            strided_update(sh.m, sh.k, sh.n, sh.alpha, 90 + static_cast<unsigned>(s)));
+        EXPECT_EQ(got, want[s]) << sh.m << "x" << sh.k << "x" << sh.n << ": 0x"
+                                << std::hex << got;
+    }
+}
+
+// The sparse-operand contract of the real update: a zero alpha·A(i,p) skips
+// row p of B for row i of C, so an Inf or NaN there never reaches C and a
+// −0.0 in C is never rewritten to +0.0 by an added zero product.
+TEST(Gemm, ZeroEntriesOfASkipNonFiniteRowsOfB) {
+    const auto bits = [](double x) {
+        std::uint64_t u;
+        std::memcpy(&u, &x, sizeof u);
+        return u;
+    };
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double alpha = 0.5;
+    for (const std::size_t m : {1u, 6u, 13u})
+        for (const std::size_t n : {1u, 7u, 16u}) {
+            const std::size_t k = 300; // two packing panels
+            MatrixD a = random_matrix(m, k, 21);
+            MatrixD b = random_matrix(k, n, 22);
+            MatrixD c = random_matrix(m, n, 23);
+            for (std::size_t i = 0; i < m; ++i) {
+                a(i, 3) = 0.0;    // B row 3: ±Inf
+                a(i, 270) = -0.0; // B row 270: NaN
+                // alpha·A(i, 100) rounds to +0: B row 100 (Inf) is skipped.
+                a(i, 100) = std::numeric_limits<double>::denorm_min();
+                c(i, 0) = -0.0;
+            }
+            for (std::size_t p = 0; p < k; ++p) a(m - 1, p) = 0.0;
+            for (std::size_t j = 0; j < n; ++j) {
+                b(3, j) = j % 2 ? -inf : inf;
+                b(100, j) = inf;
+                b(270, j) = nan;
+            }
+            MatrixD want = c;
+            for (std::size_t i = 0; i < m; ++i)
+                for (std::size_t p = 0; p < k; ++p) {
+                    const double aik = alpha * a(i, p);
+                    if (aik == 0) continue;
+                    for (std::size_t j = 0; j < n; ++j) want(i, j) += aik * b(p, j);
+                }
+            const MatrixD c0 = c;
+            detail::gemm_update(alpha, a.row(0), k, b.row(0), n, c.row(0), n, m,
+                                k, n);
+            for (std::size_t i = 0; i < m; ++i)
+                for (std::size_t j = 0; j < n; ++j) {
+                    EXPECT_TRUE(std::isfinite(c(i, j))) << i << "," << j;
+                    EXPECT_EQ(bits(c(i, j)), bits(want(i, j))) << i << "," << j;
+                }
+            // The all-zero row of A leaves its row of C untouched, −0.0 too.
+            for (std::size_t j = 0; j < n; ++j)
+                EXPECT_EQ(bits(c(m - 1, j)), bits(c0(m - 1, j))) << j;
+            EXPECT_EQ(bits(c(m - 1, 0)), bits(-0.0));
+        }
 }

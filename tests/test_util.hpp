@@ -35,6 +35,15 @@ inline std::uint64_t digest(const std::vector<Complex>& v) {
     return h;
 }
 
+// The same digest over a real matrix, row-major, each entry as (x, 0).
+inline std::uint64_t digest(const MatrixD& m) {
+    std::vector<Complex> v;
+    v.reserve(m.rows() * m.cols());
+    for (std::size_t i = 0; i < m.rows(); ++i)
+        for (std::size_t j = 0; j < m.cols(); ++j) v.emplace_back(m(i, j), 0.0);
+    return digest(v);
+}
+
 // Pins the pool thread count for the lifetime of the guard and restores the
 // automatic default on destruction. Exception-safe: a failing ASSERT or a
 // throw inside the pinned region can no longer leak a pinned count into
