@@ -5,6 +5,16 @@
 // both halves the factorization cost and acts as a passivity check — a failed
 // factorization flags a broken Green's-function evaluation long before it
 // could surface as a non-physical extracted circuit.
+//
+// The factorization is blocked right-looking with 64-column panels. Its
+// O(n³) bulk, the trailing update A22 -= G21·G21ᵀ, runs as 4×4 register
+// tiles over a transposed, zero-padded copy of the panel
+// (detail::dot_tile): each entry's dot product still runs t ascending from
+// +0 and is subtracted once, so the factor is bitwise that of the
+// row-by-row loop at any thread count. The multi-RHS solve pushes its
+// off-diagonal blocks through the real GEMM update and substitutes inside
+// each diagonal block one RHS column per worker. Both record spans,
+// `cholesky.factor` and `cholesky.solve`.
 #pragma once
 
 #include "numeric/matrix.hpp"
@@ -20,7 +30,7 @@ public:
     /// Solve A x = b.
     VectorD solve(const VectorD& b) const;
 
-    /// Solve A X = B column by column.
+    /// Solve A X = B for every column of B at once.
     MatrixD solve(const MatrixD& b) const;
 
     /// Dense inverse of A.

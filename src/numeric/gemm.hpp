@@ -8,10 +8,20 @@
 // over row-major storage with independent leading dimensions, so factorization
 // code can point A/B/C at submatrices of one allocation. The kernel blocks
 // over k (panel height kc) and packs each B panel into contiguous storage so
-// the innermost j-loop streams packed data regardless of ldb; rows of C are
-// distributed over the shared pgsi::par pool. Per-(i,j) accumulation order is
-// fixed (k panels ascending, rows ascending inside each panel), so results
-// are bit-identical at any thread count.
+// the innermost loops stream packed data regardless of ldb; rows of C are
+// distributed over the shared pgsi::par pool. Each C(i,j) takes its updates
+// in a fixed order, p ascending (k panels ascending, rows ascending inside
+// each panel), and skips every p where alpha·A(i,p) == 0, so results are
+// bit-identical at any thread count and an Inf or NaN in a skipped row of B
+// never reaches C.
+//
+// The real update runs as a 4-row × 4-column register tile: the 16 sums of
+// a C tile stay in registers across the whole panel, and each loaded A and
+// B value feeds four multiply-adds. A row block whose A is mostly zero (an
+// incidence operand such as Bᵀ in extraction) instead runs row at a
+// time over its nonzeros. Both schedules perform exactly the row-at-a-time
+// sequence per element, so which one runs never shows in the result. The
+// complex update keeps the row-at-a-time loop.
 //
 // Every inner loop of the dense kernels (this GEMM, the LU panel
 // elimination and triangular substitutions) is one multiply-add step,
@@ -97,6 +107,28 @@ inline std::complex<double> dotc(const std::complex<double>* a,
     return {sr, si};
 }
 
+/// s[r][c] = Σ_t a[t·lda + r]·b[t·ldb + c] for r, c < 4, each sum taken
+/// over t ascending from +0: sixteen dot products side by side, their sums
+/// in registers, each loaded value feeding four multiply-adds. Rows of a and
+/// b run along t, so both operands are read as transposed panels.
+inline void dot_tile(const double* a, std::size_t lda, const double* b,
+                     std::size_t ldb, std::size_t kb, double (&s)[4][4]) {
+    double s00 = 0, s01 = 0, s02 = 0, s03 = 0, s10 = 0, s11 = 0, s12 = 0, s13 = 0;
+    double s20 = 0, s21 = 0, s22 = 0, s23 = 0, s30 = 0, s31 = 0, s32 = 0, s33 = 0;
+    for (std::size_t t = 0; t < kb; ++t, a += lda, b += ldb) {
+        const double a0 = a[0], a1 = a[1], a2 = a[2], a3 = a[3];
+        const double b0 = b[0], b1 = b[1], b2 = b[2], b3 = b[3];
+        s00 += a0 * b0; s01 += a0 * b1; s02 += a0 * b2; s03 += a0 * b3;
+        s10 += a1 * b0; s11 += a1 * b1; s12 += a1 * b2; s13 += a1 * b3;
+        s20 += a2 * b0; s21 += a2 * b1; s22 += a2 * b2; s23 += a2 * b3;
+        s30 += a3 * b0; s31 += a3 * b1; s32 += a3 * b2; s33 += a3 * b3;
+    }
+    s[0][0] = s00; s[0][1] = s01; s[0][2] = s02; s[0][3] = s03;
+    s[1][0] = s10; s[1][1] = s11; s[1][2] = s12; s[1][3] = s13;
+    s[2][0] = s20; s[2][1] = s21; s[2][2] = s22; s[2][3] = s23;
+    s[3][0] = s30; s[3][1] = s31; s[3][2] = s32; s[3][3] = s33;
+}
+
 /// C += alpha * A * B (shapes m×k · k×n, row-major, leading dimensions
 /// lda/ldb/ldc). Safe to call from inside a parallel region (runs inline).
 template <class T>
@@ -104,10 +136,11 @@ void gemm_update(T alpha, const T* a, std::size_t lda, const T* b,
                  std::size_t ldb, T* c, std::size_t ldc, std::size_t m,
                  std::size_t k, std::size_t n);
 
-extern template void gemm_update<double>(double, const double*, std::size_t,
-                                         const double*, std::size_t, double*,
-                                         std::size_t, std::size_t, std::size_t,
-                                         std::size_t);
+template <>
+void gemm_update<double>(double alpha, const double* a, std::size_t lda,
+                         const double* b, std::size_t ldb, double* c,
+                         std::size_t ldc, std::size_t m, std::size_t k,
+                         std::size_t n);
 extern template void gemm_update<std::complex<double>>(
     std::complex<double>, const std::complex<double>*, std::size_t,
     const std::complex<double>*, std::size_t, std::complex<double>*,
