@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/parallel.hpp"
 #include "numeric/gemm.hpp"
 
 namespace pgsi {
@@ -45,6 +46,21 @@ Complex dot(const VectorC& a, const VectorC& b) {
 void axpy(double s, const VectorD& x, VectorD& y) {
     PGSI_REQUIRE(x.size() == y.size(), "axpy: size mismatch");
     for (std::size_t i = 0; i < x.size(); ++i) y[i] += s * x[i];
+}
+
+void mirror_lower(MatrixD& a) {
+    PGSI_REQUIRE(a.square(), "mirror_lower: matrix must be square");
+    constexpr std::size_t kTile = 32;
+    const std::size_t n = a.rows();
+    par::parallel_for((n + kTile - 1) / kTile, [&](std::size_t band) {
+        const std::size_t i0 = band * kTile, i1 = std::min(i0 + kTile, n);
+        for (std::size_t j0 = i0; j0 < n; j0 += kTile) {
+            const std::size_t j1 = std::min(j0 + kTile, n);
+            for (std::size_t i = i0; i < i1; ++i)
+                for (std::size_t j = std::max(j0, i + 1); j < j1; ++j)
+                    a(i, j) = a(j, i);
+        }
+    });
 }
 
 MatrixC to_complex(const MatrixD& m) {

@@ -193,6 +193,11 @@ Complex dot(const VectorC& a, const VectorC& b);
 /// y += s * x
 void axpy(double s, const VectorD& x, VectorD& y);
 
+/// Copy the strict lower triangle of square a onto its upper triangle.
+/// Pool-parallel: each task owns a band of 32 upper rows and fills it in
+/// 32×32 tiles, reading the matching lower tile column-wise.
+void mirror_lower(MatrixD& a);
+
 /// Promote a real matrix to a complex one.
 MatrixC to_complex(const MatrixD& m);
 
