@@ -37,7 +37,7 @@
 //    every recovery path above is exercised by ordinary tests instead of
 //    rotting as dead branches. Known sites: `lu.pivot`, `gmres.stall`,
 //    `transient.newton`, `dcop.diverge`, `serve.job`, `serve.deadline`,
-//    `cache.evict`, `aca.converge`, `extract.cholesky`, `bem.cholesky`.
+//    `cache.evict`, `extract.cholesky`, `bem.cholesky`.
 #pragma once
 
 #include <atomic>

@@ -17,10 +17,6 @@ namespace {
 /// alone cost as much as the dense fill.
 constexpr std::size_t kMinAcaDim = 8;
 
-/// ACA rank budget per block before the recovery ladder engages (the retry
-/// rung doubles it).
-constexpr std::size_t kAcaMaxRank = 64;
-
 /// Thin modified-Gram-Schmidt QR: a (m×k) is replaced by Q with orthonormal
 /// columns (a dependent column becomes zero with r_jj = 0), r is k×k upper
 /// triangular. Serial and deterministic.
@@ -475,13 +471,10 @@ void Hmatrix::build() {
     // Enumerate the symmetric block partition from (root, root). Diagonal
     // pairs recurse over child pairs (i <= j), so each unordered cluster
     // pair appears exactly once; apply() adds the transposed contribution
-    // of off-diagonal blocks. The `fault` flags are the pre-drawn
-    // `aca.converge` decisions — drawn here, serially, so the injection
-    // order is deterministic no matter how the parallel fill is scheduled.
+    // of off-diagonal blocks.
     struct Pending {
         std::size_t row, col;
         bool far;
-        bool fault_first, fault_retry;
     };
     std::vector<Pending> pend;
     const auto& nodes = tree_.nodes();
@@ -492,14 +485,11 @@ void Hmatrix::build() {
             if (nt.count() == 0 || ns.count() == 0) return;
             if (t != s && admissible(nt, ns, opt_.eta) &&
                 std::min(nt.count(), ns.count()) >= kMinAcaDim) {
-                const bool f1 = robust::FaultInjector::should_fire("aca.converge");
-                const bool f2 =
-                    f1 && robust::FaultInjector::should_fire("aca.converge");
-                pend.push_back({t, s, true, f1, f2});
+                pend.push_back({t, s, true});
                 return;
             }
             if (nt.leaf() && ns.leaf()) {
-                pend.push_back({t, s, false, false, false});
+                pend.push_back({t, s, false});
                 return;
             }
             if (t == s) {
@@ -532,11 +522,7 @@ void Hmatrix::build() {
     // Parallel fill: every block is independent, writes its own slot, and
     // runs a fully serial ACA inside — deterministic at any thread count.
     blocks_.assign(pend.size(), Block{});
-    struct Outcome {
-        std::size_t evals = 0;
-        bool retightened = false, dense_fallback = false;
-    };
-    std::vector<Outcome> outcomes(pend.size());
+    std::vector<std::size_t> evals(pend.size(), 0);
     const std::vector<std::size_t>& perm = tree_.perm();
     par::parallel_for(pend.size(), [&](std::size_t bi) {
         const Pending& pb = pend[bi];
@@ -545,57 +531,23 @@ void Hmatrix::build() {
         blk.col = pb.col;
         const ClusterNode& nr = nodes[pb.row];
         const ClusterNode& nc = nodes[pb.col];
+        const std::size_t m = nr.count(), n = nc.count();
         const std::size_t* rows = perm.data() + nr.begin;
         const std::size_t* cols = perm.data() + nc.begin;
-        Outcome& out = outcomes[bi];
         if (pb.far) {
-            // Rank budget capped at the storage break-even mn/(m+n): a rank
-            // beyond it stores more than the dense block, so sampling past
-            // it is pure waste (the cap roughly halves the cost of blocks
-            // that end up dense anyway).
-            const std::size_t mn = nr.count() * nc.count();
+            // One rule: the block is low-rank when ACA meets aca_tol below
+            // the storage break-even rank mn/(m+n) — a rank beyond it stores
+            // more than the dense block, so sampling past it is pure waste.
+            // A miss, or a recompressed rank still at break-even, is a
+            // storage verdict: the block is assembled dense and exact.
             const std::size_t be_cap =
-                std::max<std::size_t>(mn / (nr.count() + nc.count()), 1);
-            const std::size_t budget = std::min(kAcaMaxRank, be_cap);
-            AcaResult r;
-            if (!pb.fault_first)
-                r = aca_lowrank(rows, nr.count(), cols, nc.count(), kernel_,
-                                opt_.aca_tol, budget);
-            out.evals += r.evals;
-            // Missing the tolerance inside the break-even budget is a
-            // storage verdict, not a numerical anomaly — even a converged
-            // rank this high would lose to the dense block. Assemble dense
-            // (exact); no ladder event.
-            const bool storage_dense =
-                !pb.fault_first && !r.converged && budget < kAcaMaxRank;
-            if (!storage_dense) {
-                if (pb.fault_first || !r.converged) {
-                    // Ladder rung 1: tightened tolerance, doubled rank
-                    // budget — guards against the Frobenius estimator
-                    // terminating on a false plateau.
-                    out.retightened = true;
-                    AcaResult r2;
-                    if (!pb.fault_retry)
-                        r2 = aca_lowrank(rows, nr.count(), cols, nc.count(),
-                                         kernel_, 0.1 * opt_.aca_tol,
-                                         2 * kAcaMaxRank);
-                    out.evals += r2.evals;
-                    if (pb.fault_retry || !r2.converged) {
-                        // Ladder rung 2: exact dense block.
-                        out.dense_fallback = true;
-                    } else {
-                        r = std::move(r2);
-                    }
-                }
-                if (!out.dense_fallback) recompress(r, opt_.aca_tol);
-                // A barely-admissible block whose recompressed rank stores
-                // more than the dense block is kept dense — again a storage
-                // decision, not a convergence failure.
-                const bool rank_too_high =
-                    !out.dense_fallback &&
-                    r.u.cols() * (nr.count() + nc.count()) >=
-                        nr.count() * nc.count();
-                if (!out.dense_fallback && !rank_too_high) {
+                std::max<std::size_t>(m * n / (m + n), 1);
+            AcaResult r =
+                aca_lowrank(rows, m, cols, n, kernel_, opt_.aca_tol, be_cap);
+            evals[bi] += r.evals;
+            if (r.converged) {
+                recompress(r, opt_.aca_tol);
+                if (r.u.cols() * (m + n) < m * n) {
                     blk.lowrank = true;
                     blk.u = std::move(r.u);
                     blk.v = std::move(r.v);
@@ -603,29 +555,24 @@ void Hmatrix::build() {
                 }
             }
         }
-        blk.lowrank = false;
-        blk.d = MatrixD(nr.count(), nc.count());
-        for (std::size_t i = 0; i < nr.count(); ++i)
-            for (std::size_t j = 0; j < nc.count(); ++j)
+        blk.d = MatrixD(m, n);
+        for (std::size_t i = 0; i < m; ++i)
+            for (std::size_t j = 0; j < n; ++j)
                 blk.d(i, j) = kernel_(rows[i], cols[j]);
-        out.evals += nr.count() * nc.count();
+        evals[bi] += m * n;
     });
 
-    // Serial reduction: stats, scratch layout, recovery/obs surfacing.
+    // Serial reduction: stats, scratch layout, obs surfacing.
     static obs::Counter& c_blocks = obs::counter("em.aca.blocks");
     static obs::Counter& c_dense = obs::counter("em.aca.dense_blocks");
-    static obs::Counter& c_retight = obs::counter("em.aca.retightened");
-    static obs::Counter& c_fallback = obs::counter("em.aca.dense_fallbacks");
     static obs::Histogram& h_rank = obs::histogram("em.aca.rank");
     scratch_off_.resize(blocks_.size());
-    bool noted_tighten = false, noted_dense = false;
     for (std::size_t bi = 0; bi < blocks_.size(); ++bi) {
         const Block& blk = blocks_[bi];
-        const Outcome& out = outcomes[bi];
         scratch_off_[bi] = scratch_len_;
         scratch_len_ += nodes[blk.row].count() +
                         (blk.row != blk.col ? nodes[blk.col].count() : 0);
-        stats_.kernel_evals += out.evals;
+        stats_.kernel_evals += evals[bi];
         if (blk.lowrank) {
             ++stats_.lowrank_blocks;
             const std::size_t rank = blk.u.cols();
@@ -639,33 +586,6 @@ void Hmatrix::build() {
             ++stats_.dense_blocks;
             stats_.stored_entries += blk.d.rows() * blk.d.cols();
             ++c_dense;
-        }
-        if (out.retightened) {
-            ++stats_.aca_retightened;
-            ++c_retight;
-            if (!noted_tighten) {
-                noted_tighten = true;
-                robust::note_recovery(
-                    &report_, "em.aca_tighten",
-                    "ACA block (" + std::to_string(nodes[blk.row].count()) +
-                        "x" + std::to_string(nodes[blk.col].count()) +
-                        ") missed tol " + std::to_string(opt_.aca_tol) +
-                        " within rank " + std::to_string(kAcaMaxRank) +
-                        "; retried with tightened tolerance");
-            }
-        }
-        if (out.dense_fallback) {
-            ++stats_.aca_dense_fallbacks;
-            ++c_fallback;
-            if (!noted_dense) {
-                noted_dense = true;
-                robust::note_recovery(
-                    &report_, "em.aca_dense_block",
-                    "ACA retry did not converge; block (" +
-                        std::to_string(nodes[blk.row].count()) + "x" +
-                        std::to_string(nodes[blk.col].count()) +
-                        ") assembled dense (exact)");
-            }
         }
     }
     obs::gauge("em.hmatrix.compression").set(stats_.compression());

@@ -29,12 +29,11 @@
 //    same role the NearFieldBlock preconditioner tiles play on the solve
 //    side).
 //
-// A block that fails to converge (rank budget exhausted, or the
-// `aca.converge` fault site fired) climbs a recovery ladder: retry with a
-// tightened tolerance and doubled rank budget, then fall back to an exact
-// dense block. Either way the build completes; the ladder is surfaced in the
-// H-matrix's own recovery_report() (the iterative solver folds it into its
-// report) and the obs counters.
+// Each admissible block gets one rule: ACA runs with its rank budget at the
+// storage break-even mn/(m+n), and the block stays low-rank when it converges
+// and its recompressed rank still stores less than the dense block
+// (rank·(m+n) < m·n). Otherwise it is assembled dense and exact — a storage
+// verdict, not a failure, so no recovery event is raised.
 //
 // apply() is threaded through pgsi::par with deterministic partitioning:
 // per-block products are computed in parallel into disjoint scratch slots
@@ -49,7 +48,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/robust.hpp"
 #include "numeric/matrix.hpp"
 
 namespace pgsi {
@@ -71,12 +69,10 @@ struct HmatrixOptions {
 struct HmatrixStats {
     std::size_t elements = 0;        ///< matrix dimension
     std::size_t lowrank_blocks = 0;  ///< admissible blocks kept in ACA form
-    std::size_t dense_blocks = 0;    ///< near-field + ladder-fallback blocks
+    std::size_t dense_blocks = 0;    ///< near-field + far blocks kept dense
     std::size_t rank_total = 0;      ///< sum of ACA ranks
     std::size_t max_rank_seen = 0;   ///< largest ACA rank
     std::size_t kernel_evals = 0;    ///< total kernel entry evaluations
-    std::size_t aca_retightened = 0; ///< ladder rung 1: tightened-tol retries
-    std::size_t aca_dense_fallbacks = 0; ///< ladder rung 2: dense blocks
     std::size_t stored_entries = 0;  ///< coefficients kept (U, V, dense)
     /// stored_entries / elements², <1 once compression wins.
     double compression() const {
@@ -167,8 +163,6 @@ public:
     double entry(std::size_t i, std::size_t j) const { return kernel_(i, j); }
 
     const HmatrixStats& stats() const { return stats_; }
-    /// The ACA recovery-ladder events of the build.
-    const robust::RecoveryReport& recovery_report() const { return report_; }
     const ClusterTree& tree() const { return tree_; }
 
 private:
@@ -191,7 +185,6 @@ private:
     std::vector<std::size_t> scratch_off_; ///< per-block scratch offsets
     std::size_t scratch_len_ = 0;
     HmatrixStats stats_;
-    robust::RecoveryReport report_;
 };
 
 } // namespace pgsi

@@ -40,6 +40,10 @@ constexpr std::size_t kPrecondTileCells = 10;
 // a silently inaccurate Z.
 constexpr double kFailTol = 1e-8;
 
+// Auto picks Iterative at or above this many mesh nodes (when assembly is
+// not Direct), on either operator family.
+constexpr std::size_t kAutoNodeThreshold = 400;
+
 } // namespace
 
 IterativeSolver::IterativeSolver(const PlaneBem& bem, SurfaceImpedance zs,
@@ -55,7 +59,7 @@ void IterativeSolver::setup() const {
     PGSI_ALLOC_SCOPE("em.iterative");
     // The PlaneBem owns the operators: Toeplitz on a uniform lattice,
     // ACA/H-matrix otherwise. Compressed parts only report their build work
-    // and ACA ladder events here.
+    // here.
     const InteractionOperator& pop = bem_.potential_operator();
     const InteractionOperator& lop = bem_.inductance_operator();
     stats_.hmatrix = pop.compressed();
@@ -66,12 +70,9 @@ void IterativeSolver::setup() const {
             const HmatrixStats& hs = part->stats();
             stats_.aca_blocks += hs.lowrank_blocks;
             stats_.aca_dense_blocks += hs.dense_blocks;
-            stats_.aca_retightened += hs.aca_retightened;
-            stats_.aca_dense_fallbacks += hs.aca_dense_fallbacks;
             stored += hs.stored_entries;
             elems2 += static_cast<double>(hs.elements) *
                       static_cast<double>(hs.elements);
-            report_.merge(part->recovery_report());
         }
     stats_.hmatrix_compression =
         elems2 > 0 ? static_cast<double>(stored) / elems2 : 1.0;
@@ -571,7 +572,7 @@ std::unique_ptr<PlaneSolver> make_solver(const PlaneBem& bem,
         // threshold unless assembly is Direct; dense direct below it. The
         // chosen operator family is observable via the em.backend.* counters.
         const bool iterative = bem.options().assembly != AssemblyMode::Direct &&
-                               bem.node_count() >= options.auto_node_threshold;
+                               bem.node_count() >= kAutoNodeThreshold;
         backend = iterative ? SolverBackend::Iterative : SolverBackend::Direct;
         static obs::Counter& c_toe = obs::counter("em.backend.toeplitz");
         static obs::Counter& c_hm = obs::counter("em.backend.hmatrix");

@@ -72,9 +72,7 @@ struct IterativeSolverStats {
     /// are compressed; the counts mirror HmatrixStats of their build.
     bool hmatrix = false;
     std::size_t aca_blocks = 0;          ///< low-rank (ACA) blocks kept
-    std::size_t aca_dense_blocks = 0;    ///< near-field + fallback dense blocks
-    std::size_t aca_retightened = 0;     ///< ladder rung 1 retries
-    std::size_t aca_dense_fallbacks = 0; ///< ladder rung 2 dense blocks
+    std::size_t aca_dense_blocks = 0;    ///< near-field + far blocks kept dense
     /// Aggregate stored-coefficients / Σ n² over the parts (<1 = compressed).
     double hmatrix_compression = 1.0;
     double worst_residual = 0;   ///< largest final true relative residual
@@ -115,8 +113,8 @@ public:
     /// read while a sweep is in flight.
     const IterativeSolverStats& stats() const { return stats_; }
 
-    /// Recoveries performed so far: the operators' ACA ladder events, then
-    /// dense fallbacks. Do not read while a sweep is in flight.
+    /// Recoveries performed so far (dense fallbacks of stalled frequencies).
+    /// Do not read while a sweep is in flight.
     const robust::RecoveryReport& recovery_report() const { return report_; }
 
 private:

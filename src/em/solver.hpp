@@ -29,9 +29,9 @@ namespace pgsi {
 
 /// Which frequency-domain solver implementation runs a sweep.
 enum class SolverBackend {
-    Auto,     ///< Iterative at or above SolverOptions::auto_node_threshold
-              ///< nodes unless assembly is Direct (Toeplitz operators on
-              ///< uniform lattices, ACA/H-matrix otherwise); Direct below
+    Auto,     ///< Iterative at or above 400 mesh nodes unless assembly is
+              ///< Direct (Toeplitz operators on uniform lattices,
+              ///< ACA/H-matrix otherwise); Direct below
     Direct,   ///< dense branch-system LU per frequency (reference path)
     Iterative ///< matrix-free block GMRES (FFT or H-matrix operators),
               ///< swept by the cross-frequency sweep engine
@@ -40,9 +40,6 @@ enum class SolverBackend {
 /// Backend selection and iterative-path tuning knobs.
 struct SolverOptions {
     SolverBackend backend = SolverBackend::Auto;
-    /// Auto picks Iterative at or above this many mesh nodes (when assembly
-    /// is not Direct), on either operator family.
-    std::size_t auto_node_threshold = 400;
     GmresOptions gmres; ///< restart / iteration budget / target residual
     /// Recovery policy of the iterative backend. Under Recover (default) a
     /// frequency whose GMRES solve stalls (true relative residual above

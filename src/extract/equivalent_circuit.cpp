@@ -36,9 +36,20 @@ MatrixC EquivalentCircuit::admittance(double freq_hz) const {
 
 MatrixC EquivalentCircuit::impedance(double freq_hz,
                                      const std::vector<std::size_t>& ports) const {
-    const MatrixC y = admittance(freq_hz);
-    const MatrixC z = Lu<Complex>(y).inverse();
-    return z.submatrix(ports, ports);
+    // Z[ports, ports] = rows `ports` of Y⁻¹·E, E the identity's port columns:
+    // solve only the p columns instead of inverting all of Y.
+    const std::size_t n = node_count();
+    MatrixC e(n, ports.size());
+    for (std::size_t k = 0; k < ports.size(); ++k) {
+        PGSI_REQUIRE(ports[k] < n, "EquivalentCircuit: port out of range");
+        e(ports[k], k) = 1.0;
+    }
+    const MatrixC x = Lu<Complex>(admittance(freq_hz)).solve(e);
+    MatrixC z(ports.size(), ports.size());
+    for (std::size_t a = 0; a < ports.size(); ++a)
+        for (std::size_t b = 0; b < ports.size(); ++b)
+            z(a, b) = x(ports[a], b);
+    return z;
 }
 
 void EquivalentCircuit::stamp(Netlist& nl, const std::vector<NodeId>& node_map,
@@ -269,26 +280,29 @@ ReducedMatrices CircuitExtractor::reduce(
         // LZ and the lower triangle of M = Zᵀ(LZ), row-parallel: every output
         // row has one owner and a fixed accumulation order.
         MatrixD lz(m, c);
-        par::parallel_for(m, [&](std::size_t a) {
-            const double* la = l.row(a);
-            double* out = lz.row(a);
-            for (std::size_t j = 0; j < c; ++j) {
-                double s = 0;
-                for (std::size_t p = z.col_ptr[j]; p < z.col_ptr[j + 1]; ++p)
-                    s += z.val[p] * la[z.row[p]];
-                out[j] = s;
-            }
-        });
         MatrixD mz(c, c);
-        par::parallel_for(c, [&](std::size_t i) {
-            double* out = mz.row(i);
-            for (std::size_t p = z.col_ptr[i]; p < z.col_ptr[i + 1]; ++p) {
-                const double zv = z.val[p];
-                const double* lzr = lz.row(z.row[p]);
-                for (std::size_t j = 0; j <= i; ++j) out[j] += zv * lzr[j];
-            }
-        });
-        mirror_lower(mz);
+        {
+            PGSI_TRACE_SCOPE("extract.loop_matrix");
+            par::parallel_for(m, [&](std::size_t a) {
+                const double* la = l.row(a);
+                double* out = lz.row(a);
+                for (std::size_t j = 0; j < c; ++j) {
+                    double s = 0;
+                    for (std::size_t p = z.col_ptr[j]; p < z.col_ptr[j + 1]; ++p)
+                        s += z.val[p] * la[z.row[p]];
+                    out[j] = s;
+                }
+            });
+            par::parallel_for(c, [&](std::size_t i) {
+                double* out = mz.row(i);
+                for (std::size_t p = z.col_ptr[i]; p < z.col_ptr[i + 1]; ++p) {
+                    const double zv = z.val[p];
+                    const double* lzr = lz.row(z.row[p]);
+                    for (std::size_t j = 0; j <= i; ++j) out[j] += zv * lzr[j];
+                }
+            });
+            mirror_lower(mz);
+        }
 
         const MatrixD x = spd_solve(mz, b, "extract.cholesky", // M⁻¹ B
                                     "extract.lu_fallback", "loop inductance");

@@ -36,14 +36,6 @@ Cholesky::Cholesky(const MatrixD& a) : g_(a.rows(), a.cols()) {
         ++factorizations;
         sizes.record(static_cast<double>(n));
     }
-    // ‖A‖₁ = max absolute column sum (A is symmetric: row sums serve), from
-    // the input before the in-place factorization.
-    for (std::size_t i = 0; i < n; ++i) {
-        double s = 0;
-        const double* arow = a.row(i);
-        for (std::size_t j = 0; j < n; ++j) s += std::abs(arow[j]);
-        anorm1_ = std::max(anorm1_, s);
-    }
     // Copy the lower triangle of A, then factor in place blockwise: factor
     // the diagonal block, triangular-solve the panel below it, and fold the
     // panel into the trailing lower triangle (the O(n^3) bulk, parallel over
@@ -216,44 +208,6 @@ MatrixD Cholesky::solve(const MatrixD& b) const {
         kend = k0;
     }
     return x;
-}
-
-MatrixD Cholesky::inverse() const {
-    return solve(MatrixD::identity(g_.rows()));
-}
-
-double Cholesky::condition_estimate() const {
-    // Hager's 1-norm estimator for B = A⁻¹; A (hence B) is symmetric, so the
-    // transpose application is the same solve.
-    const std::size_t n = g_.rows();
-    if (n == 0) return 0;
-    VectorD x(n, 1.0 / static_cast<double>(n));
-    double est = 0;
-    std::size_t last_j = n;
-    for (int iter = 0; iter < 5; ++iter) {
-        const VectorD y = solve(x);
-        double ynorm = 0;
-        for (double v : y) ynorm += std::abs(v);
-        est = std::max(est, ynorm);
-        VectorD xi(n);
-        for (std::size_t i = 0; i < n; ++i) xi[i] = y[i] < 0 ? -1.0 : 1.0;
-        const VectorD z = solve(xi);
-        std::size_t j = 0;
-        double zmax = 0, zx = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            const double m = std::abs(z[i]);
-            if (m > zmax) {
-                zmax = m;
-                j = i;
-            }
-            zx += z[i] * x[i];
-        }
-        if (j == last_j || zmax <= zx) break;
-        x.assign(n, 0.0);
-        x[j] = 1.0;
-        last_j = j;
-    }
-    return anorm1_ * est;
 }
 
 bool is_spd(const MatrixD& a) {

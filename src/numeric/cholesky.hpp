@@ -33,25 +33,13 @@ public:
     /// Solve A X = B for every column of B at once.
     MatrixD solve(const MatrixD& b) const;
 
-    /// Dense inverse of A.
-    MatrixD inverse() const;
-
     /// Lower-triangular factor G.
     const MatrixD& factor() const { return g_; }
-
-    /// 1-norm of the factored matrix A (recorded before factorization).
-    double norm1() const { return anorm1_; }
-
-    /// Hager estimate of the 1-norm condition number κ₁(A) = ‖A‖₁·‖A⁻¹‖₁.
-    /// A is symmetric, so the estimator needs only forward solves; cost is a
-    /// handful of O(n²) substitutions.
-    double condition_estimate() const;
 
     std::size_t size() const { return g_.rows(); }
 
 private:
     MatrixD g_; // lower triangular
-    double anorm1_ = 0;
 };
 
 /// True if a is symmetric positive definite (attempts a Cholesky factorization).

@@ -30,9 +30,6 @@ public:
     /// Determinant of A (product of pivots with permutation sign).
     T determinant() const;
 
-    /// 1-norm of the factored matrix A (recorded before factorization).
-    double norm1() const { return anorm1_; }
-
     /// Hager/Higham estimate of the 1-norm condition number κ₁(A) =
     /// ‖A‖₁·‖A⁻¹‖₁, from a handful of O(n²) solves against the stored
     /// factors (a lower bound, usually within a small factor of the truth).
@@ -52,17 +49,5 @@ private:
 
 extern template class Lu<double>;
 extern template class Lu<Complex>;
-
-/// One-shot convenience: solve A x = b.
-template <class T>
-std::vector<T> solve_linear(const Matrix<T>& a, const std::vector<T>& b) {
-    return Lu<T>(a).solve(b);
-}
-
-/// One-shot convenience: dense inverse.
-template <class T>
-Matrix<T> inverse(const Matrix<T>& a) {
-    return Lu<T>(a).inverse();
-}
 
 } // namespace pgsi

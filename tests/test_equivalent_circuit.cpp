@@ -10,6 +10,7 @@
 #include "common/constants.hpp"
 #include "common/robust.hpp"
 #include "extract/equivalent_circuit.hpp"
+#include "numeric/lu.hpp"
 #include "obs/metrics.hpp"
 #include "si/board.hpp"
 #include "si/cosim.hpp"
@@ -205,6 +206,27 @@ bool same_bits(const MatrixD& a, const MatrixD& b) {
 }
 
 } // namespace
+
+// impedance() solves only the port columns of Y; Lu::solve's per-column
+// arithmetic does not depend on how many columns it solves, so the result
+// is bitwise the port block of the full inverse.
+TEST(EquivalentCircuit, ImpedanceIsBitwiseThePortBlockOfTheInverse) {
+    const E6Plane e = e6_plane(1998);
+    const EquivalentCircuit& ec = e.model->circuit();
+    ASSERT_GT(ec.node_count(), 4u);
+    const std::vector<std::size_t> ports{3, 0, ec.node_count() - 1};
+    for (const double f : {1e6, 1e8, 2e9}) {
+        const MatrixC got = ec.impedance(f, ports);
+        const MatrixC want =
+            Lu<Complex>(ec.admittance(f)).inverse().submatrix(ports, ports);
+        ASSERT_EQ(got.rows(), want.rows());
+        ASSERT_EQ(got.cols(), want.cols());
+        for (std::size_t r = 0; r < got.rows(); ++r)
+            for (std::size_t c = 0; c < got.cols(); ++c)
+                EXPECT_TRUE(test::same_bits(got(r, c), want(r, c)))
+                    << "f " << f << " (" << r << ", " << c << ")";
+    }
+}
 
 TEST(ExtractEquivalence, PostlayoutBoardMatchesDenseReduction) {
     const E6Plane e = e6_plane(1998);

@@ -80,17 +80,8 @@ double rel_apply_error(const Hmatrix& h, const MatrixD& dense) {
     return std::sqrt(num / den);
 }
 
-// Meshes mirroring test_iterative_solver: one uniform with an antipad hole,
-// one with incommensurate shape widths (no common lattice).
-RectMesh holey_mesh() {
-    ConductorShape s;
-    s.outline = Polygon::rectangle(0, 0, 0.020, 0.016);
-    s.holes.push_back(Polygon::rectangle(0.006, 0.005, 0.010, 0.008));
-    s.z = 0.4e-3;
-    s.sheet_resistance = 1e-3;
-    return RectMesh({s}, 0.001);
-}
-
+// Mirrors test_iterative_solver: incommensurate shape widths (no common
+// lattice).
 RectMesh nonuniform_mesh() {
     ConductorShape a;
     a.outline = Polygon::rectangle(0, 0, 0.010, 0.008);
@@ -274,7 +265,6 @@ TEST(Hmatrix, CompressesAndMatchesDenseApply) {
     const HmatrixStats& st = h.stats();
     EXPECT_GT(st.lowrank_blocks, 0u);
     EXPECT_GT(st.dense_blocks, 0u);
-    EXPECT_EQ(st.aca_dense_fallbacks, 0u);
     // Compression must actually compress, and never sample every entry.
     EXPECT_LT(st.compression(), 0.7);
     EXPECT_LT(st.kernel_evals, h.size() * h.size());
@@ -306,6 +296,72 @@ TEST(Hmatrix, TighterToleranceGivesSmallerError) {
         prev_stored = h.stats().stored_entries;
     }
     EXPECT_LT(prev_err, 1e-8); // the tightest rung reached solver accuracy
+}
+
+TEST(Hmatrix, HighRankFarBlockBelowBreakEvenStaysLowRank) {
+    // Two 200-point clusters, 8 apart: the root splits them and their
+    // 200 × 200 block is admissible with a break-even rank of 100. The kernel
+    // F·Fᵀ is exactly rank 80 (F 400 × 80, uniform pseudo-random entries),
+    // so that block converges at rank 80 — above any fixed cap of 64 — and
+    // stays low-rank.
+    constexpr std::size_t kRank = 80;
+    std::vector<std::array<double, 3>> pts;
+    for (const double x0 : {0.0, 10.0})
+        for (std::size_t i = 0; i < 20; ++i)
+            for (std::size_t j = 0; j < 10; ++j)
+                pts.push_back({x0 + 0.1 * static_cast<double>(i),
+                               0.1 * static_cast<double>(j), 0.0});
+    std::vector<double> f(pts.size() * kRank);
+    std::uint64_t lcg = 7;
+    for (double& fi : f) {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        fi = static_cast<double>(lcg >> 11) * 0x1p-53 - 0.5;
+    }
+    const KernelFn k = [&f](std::size_t i, std::size_t j) {
+        double s = 0;
+        for (std::size_t l = 0; l < kRank; ++l)
+            s += f[i * kRank + l] * f[j * kRank + l];
+        return s;
+    };
+    const Hmatrix h(pts, k, HmatrixOptions{});
+
+    const HmatrixStats& st = h.stats();
+    EXPECT_GE(st.lowrank_blocks, 1u);
+    EXPECT_GT(st.max_rank_seen, 64u);
+    EXPECT_LE(st.max_rank_seen, kRank);
+    EXPECT_LT(rel_apply_error(h, dense_from_kernel(k, h.size())), 1e-12);
+}
+
+TEST(Hmatrix, UnreachableToleranceStoresFarBlocksDenseAndExact) {
+    // No far block meets aca_tol = 1e-30 inside its break-even rank, so each
+    // is assembled dense from the exact kernel and Z still matches the dense
+    // direct solve. A loose tolerance on the same plane is the control: it
+    // keeps low-rank blocks, so far blocks exist.
+    const SurfaceImpedance zs = SurfaceImpedance::from_sheet_resistance(1e-3);
+    for (const double tol : {1e-6, 1e-30}) {
+        BemOptions bo;
+        bo.hmatrix.aca_tol = tol;
+        bo.hmatrix.leaf_size = 16;
+        const PlaneBem bem(nonuniform_mesh(), Greens::homogeneous(4.2, true),
+                           bo);
+        SolverOptions opt;
+        opt.backend = SolverBackend::Iterative;
+        const IterativeSolver iterative(bem, zs, opt);
+        const std::vector<std::size_t> ports{
+            bem.mesh().nearest_node({0.002, 0.004}, 0),
+            bem.mesh().nearest_node({0.018, 0.004}, 1)};
+        const MatrixC zh = iterative.port_impedance(5e8, ports);
+
+        const IterativeSolverStats& st = iterative.stats();
+        EXPECT_TRUE(st.hmatrix);
+        if (tol > 1e-20) {
+            EXPECT_GT(st.aca_blocks, 0u);
+            continue;
+        }
+        EXPECT_EQ(st.aca_blocks, 0u);
+        const DirectSolver direct(bem, zs);
+        EXPECT_LE(max_rel_diff(zh, direct.port_impedance(5e8, ports)), 1e-8);
+    }
 }
 
 TEST(Hmatrix, ApplyBitIdenticalAcrossThreadCounts) {
@@ -349,7 +405,6 @@ TEST(Hmatrix, SolverCompressionMatchesDirectSolve) {
     const IterativeSolverStats& st = iterative.stats();
     EXPECT_TRUE(st.hmatrix);
     EXPECT_GT(st.aca_blocks + st.aca_dense_blocks, 0u);
-    EXPECT_EQ(st.aca_dense_fallbacks, 0u);
 
     const DirectSolver direct(bem, zs);
     EXPECT_LT(max_rel_diff(zh, direct.port_impedance(5e8, ports)), 1e-8);
@@ -382,40 +437,41 @@ TEST(Hmatrix, ForcedCompressionBitIdenticalAcrossThreadCounts) {
 
 // The Auto crossover, observed through the em.backend.* selection counters:
 // a regression that silently reroutes a mesh class to the dense path (or
-// back to O(N²)) flips the wrong counter and fails here.
+// back to O(N²)), or moves the 400-node threshold, flips the wrong counter
+// and fails here. PlaneBem and make_solver are lazy: nothing is filled.
 TEST(MakeSolverCrossover, UniformLatticeSelectsToeplitz) {
-    const PlaneBem bem = make_bem(holey_mesh());
-    SolverOptions opt;
-    opt.auto_node_threshold = 1;
+    const PlaneBem bem = make_bem(test::plate_mesh(20, 20));
+    ASSERT_TRUE(bem.uniform_lattice());
+    ASSERT_EQ(bem.node_count(), 400u);
     const std::uint64_t toe0 = obs::counter("em.backend.toeplitz").value();
     const std::uint64_t hm0 = obs::counter("em.backend.hmatrix").value();
-    EXPECT_STREQ(make_solver(bem, SurfaceImpedance{}, opt)->backend_name(),
+    EXPECT_STREQ(make_solver(bem, SurfaceImpedance{}, {})->backend_name(),
                  "iterative");
     EXPECT_EQ(obs::counter("em.backend.toeplitz").value(), toe0 + 1);
     EXPECT_EQ(obs::counter("em.backend.hmatrix").value(), hm0);
 }
 
 TEST(MakeSolverCrossover, NonUniformMeshSelectsHmatrix) {
-    const PlaneBem bem = make_bem(nonuniform_mesh());
-    SolverOptions opt;
-    opt.auto_node_threshold = 1;
+    const PlaneBem bem = make_bem(test::plate_pair_mesh(15, 20));
+    ASSERT_FALSE(bem.uniform_lattice());
+    ASSERT_EQ(bem.node_count(), 400u);
     const std::uint64_t hm0 = obs::counter("em.backend.hmatrix").value();
     const std::uint64_t dense0 = obs::counter("em.backend.dense").value();
-    EXPECT_STREQ(make_solver(bem, SurfaceImpedance{}, opt)->backend_name(),
+    EXPECT_STREQ(make_solver(bem, SurfaceImpedance{}, {})->backend_name(),
                  "iterative");
     EXPECT_EQ(obs::counter("em.backend.hmatrix").value(), hm0 + 1);
     EXPECT_EQ(obs::counter("em.backend.dense").value(), dense0);
 }
 
-TEST(MakeSolverCrossover, TinyMeshSelectsDense) {
-    // Below the node threshold the dense direct solver wins on constants,
-    // on either operator family.
-    SolverOptions opt;
-    opt.auto_node_threshold = 100000;
-    for (RectMesh mesh : {nonuniform_mesh(), holey_mesh()}) {
+TEST(MakeSolverCrossover, MeshJustBelowThresholdSelectsDense) {
+    // One node below the threshold the dense direct solver wins on
+    // constants, on either operator family.
+    for (RectMesh mesh :
+         {test::plate_pair_mesh(13, 23), test::plate_mesh(19, 21)}) {
         const PlaneBem bem = make_bem(std::move(mesh));
+        ASSERT_EQ(bem.node_count(), 399u);
         const std::uint64_t dense0 = obs::counter("em.backend.dense").value();
-        EXPECT_STREQ(make_solver(bem, SurfaceImpedance{}, opt)->backend_name(),
+        EXPECT_STREQ(make_solver(bem, SurfaceImpedance{}, {})->backend_name(),
                      "direct");
         EXPECT_EQ(obs::counter("em.backend.dense").value(), dense0 + 1);
     }

@@ -209,42 +209,26 @@ TEST(IterativeSolver, ResultsInvariantAcrossThreadCounts) {
 }
 
 TEST(MakeSolver, AutoSelectsBySizeAndLattice) {
+    // The threshold is 400 mesh nodes on either operator family; PlaneBem
+    // and make_solver are lazy, so these meshes are never filled.
     const SurfaceImpedance zs;
-    {
-        // Small uniform mesh: below the node threshold -> direct.
-        const PlaneBem bem = make_bem(holey_mesh());
-        SolverOptions opt;
-        opt.auto_node_threshold = 100000;
-        EXPECT_STREQ(make_solver(bem, zs, opt)->backend_name(), "direct");
-    }
-    {
-        // Threshold of 1: any uniform mesh -> iterative.
-        const PlaneBem bem = make_bem(holey_mesh());
-        SolverOptions opt;
-        opt.auto_node_threshold = 1;
-        EXPECT_STREQ(make_solver(bem, zs, opt)->backend_name(), "iterative");
-    }
-    {
-        // The same threshold routes a non-uniform mesh: below -> direct.
-        const PlaneBem bem = make_bem(nonuniform_mesh());
-        SolverOptions opt;
-        opt.auto_node_threshold = 100000;
-        EXPECT_STREQ(make_solver(bem, zs, opt)->backend_name(), "direct");
-    }
-    {
-        // ... at or above -> iterative on the compressed operators.
-        const PlaneBem bem = make_bem(nonuniform_mesh());
-        SolverOptions opt;
-        opt.auto_node_threshold = 1;
-        EXPECT_STREQ(make_solver(bem, zs, opt)->backend_name(), "iterative");
-    }
-    {
-        // Direct-only assembly disables the operator path.
-        const PlaneBem bem = make_bem(holey_mesh(), AssemblyMode::Direct);
-        SolverOptions opt;
-        opt.auto_node_threshold = 1;
-        EXPECT_STREQ(make_solver(bem, zs, opt)->backend_name(), "direct");
-    }
+    const auto backend = [&](RectMesh mesh, AssemblyMode mode) {
+        const PlaneBem bem = make_bem(std::move(mesh), mode);
+        return std::string(make_solver(bem, zs, {})->backend_name());
+    };
+    // Uniform lattice: 399 nodes -> direct, 400 -> iterative.
+    EXPECT_EQ(backend(test::plate_mesh(19, 21), AssemblyMode::Auto), "direct");
+    EXPECT_EQ(backend(test::plate_mesh(20, 20), AssemblyMode::Auto),
+              "iterative");
+    // The same threshold routes a non-uniform mesh to the compressed
+    // operators.
+    EXPECT_EQ(backend(test::plate_pair_mesh(13, 23), AssemblyMode::Auto),
+              "direct");
+    EXPECT_EQ(backend(test::plate_pair_mesh(15, 20), AssemblyMode::Auto),
+              "iterative");
+    // Direct-only assembly disables the operator path at any size.
+    EXPECT_EQ(backend(test::plate_mesh(20, 20), AssemblyMode::Direct),
+              "direct");
     {
         // Explicit backend requests are honored regardless of size.
         const PlaneBem bem = make_bem(holey_mesh());

@@ -9,6 +9,7 @@
 
 #include "circuit/netlist.hpp"
 #include "common/parallel.hpp"
+#include "geometry/rectmesh.hpp"
 #include "numeric/matrix.hpp"
 #include "si/cosim.hpp"
 
@@ -59,6 +60,29 @@ public:
     // Re-pin within the same guarded region.
     void repin(std::size_t n) { par::set_thread_count(n); }
 };
+
+// A w × h [m] rectangle with its lower-left corner at (x0, 0).
+inline ConductorShape plate_shape(double x0, double w, double h) {
+    ConductorShape s;
+    s.outline = Polygon::rectangle(x0, 0, x0 + w, h);
+    s.z = 0.4e-3;
+    s.sheet_resistance = 1e-3;
+    return s;
+}
+
+// A plate of nx × ny cells at a 1 mm pitch: a uniform lattice of nx·ny
+// nodes.
+inline RectMesh plate_mesh(int nx, int ny) {
+    return RectMesh({plate_shape(0, nx * 1e-3, ny * 1e-3)}, 0.001);
+}
+
+// The same plate beside a 9.3 mm square, whose 10 × 10 cells are narrower
+// than the pitch: no common lattice, nx·ny + 100 nodes.
+inline RectMesh plate_pair_mesh(int nx, int ny) {
+    return RectMesh({plate_shape(0, nx * 1e-3, ny * 1e-3),
+                     plate_shape((nx + 5) * 1e-3, 0.0093, 0.0093)},
+                    0.001);
+}
 
 // Diode clamp driven by a 5 V pulse through 100 ohm: node "d" carries a
 // piecewise-linear table conductance to ground that conducts above 0.6 V,

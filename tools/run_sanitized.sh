@@ -8,8 +8,9 @@
 # object files) and runs the concurrency-sensitive suites — the pgsi::par
 # pool, the parallel BEM assembly and its concurrent lazy fills, the dense
 # kernels, the parallel extraction kernels (tree-EMF product, conductance
-# solves), the FFT/GMRES numerics, the iterative solver and its sweep
-# engine, and the pgsi::robust recovery /
+# solves), the FFT/GMRES numerics, the one-dispatch Toeplitz/H-matrix
+# operator applies, the iterative solver and its sweep engine, and the
+# pgsi::robust recovery /
 # fault-injection suites (the FaultInjector and the solver recovery ladders
 # are reached from pool workers) — unless explicit ctest args are given.
 #
@@ -82,7 +83,7 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 cd "$build_dir"
 if [[ $mode == thread && $# -eq 0 ]]; then
   ctest --output-on-failure -j"$(nproc)" \
-    -R 'Parallel|BemCache|BemLazy|Gemm|Lu\.|Cholesky|DirectSolver|ExtractEquivalence|Fft|Gmres|IterativeSolver|SweepEngine|Robust|RobustEnv|ObsMetrics|ObsTest|ReportTest|JsonParser|BenchGate|ServeEnv|ServeEngine|ModelCache|Journal|Hmatrix|Aca|Transient'
+    -R 'Parallel|BemCache|BemLazy|Gemm|Lu\.|Cholesky|DirectSolver|ExtractEquivalence|Fft|Gmres|OperatorApply|IterativeSolver|SweepEngine|Robust|RobustEnv|ObsMetrics|ObsTest|ReportTest|JsonParser|BenchGate|ServeEnv|ServeEngine|ModelCache|Journal|Hmatrix|Aca|Transient'
 else
   ctest --output-on-failure -j"$(nproc)" "$@"
 fi
