@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <optional>
 #include <string>
 
@@ -13,6 +14,12 @@
 namespace pgsi {
 
 namespace {
+
+// Continuation ladder: kGminSteps gmin levels shrinking 10× from kGminStart,
+// then kSourceSteps source-ramp steps.
+constexpr int kGminSteps = 8;
+constexpr double kGminStart = 1e-2; // S
+constexpr int kSourceSteps = 8;
 
 // One linear(ized) DC solve: table elements are stamped at the linearization
 // voltages in `table_v` (Newton companion: g = di/dv, ieq = i(v) - g·v).
@@ -227,6 +234,7 @@ DcSolution dc_operating_point(const Netlist& nl,
     const std::size_t ntab = nl.table_conductances().size();
     VectorD table_v(ntab, 0.0);
     VectorD x;
+    std::exception_ptr failure; // the plain solve's error, rethrown at the end
     try {
         x = dc_newton(nl, lay, lu, table_v, 0.0, 1.0);
         return pack_solution(nl, lay, x);
@@ -245,6 +253,7 @@ DcSolution dc_operating_point(const Netlist& nl,
             throw InvalidArgument(msg);
         }
         if (opt.policy == robust::RecoveryPolicy::Strict) throw;
+        failure = std::current_exception();
     }
 
     // Gmin stepping: solve with a shunt conductance on every node, shrinking
@@ -252,10 +261,10 @@ DcSolution dc_operating_point(const Netlist& nl,
     // then remove it entirely for the final solve.
     {
         table_v.assign(ntab, 0.0);
-        double gmin = opt.gmin_start;
+        double gmin = kGminStart;
         bool ok = true;
         try {
-            for (int s = 0; s < opt.gmin_steps; ++s, gmin *= 0.1) {
+            for (int s = 0; s < kGminSteps; ++s, gmin *= 0.1) {
                 if (opt.cancel != nullptr) opt.cancel->poll("dcop.gmin");
                 x = dc_newton(nl, lay, lu, table_v, gmin, 1.0);
             }
@@ -267,9 +276,9 @@ DcSolution dc_operating_point(const Netlist& nl,
             robust::note_recovery(report, "dcop.gmin",
                                   "DC operating point recovered by gmin "
                                   "stepping (" +
-                                      std::to_string(opt.gmin_steps) +
+                                      std::to_string(kGminSteps) +
                                       " levels from " +
-                                      std::to_string(opt.gmin_start) + " S)");
+                                      std::to_string(kGminStart) + " S)");
             return pack_solution(nl, lay, x);
         }
     }
@@ -280,11 +289,11 @@ DcSolution dc_operating_point(const Netlist& nl,
         table_v.assign(ntab, 0.0);
         bool ok = true;
         try {
-            for (int s = 1; s <= opt.source_steps; ++s) {
+            for (int s = 1; s <= kSourceSteps; ++s) {
                 if (opt.cancel != nullptr) opt.cancel->poll("dcop.source_ramp");
                 x = dc_newton(nl, lay, lu, table_v, 0.0,
                               static_cast<double>(s) /
-                                  static_cast<double>(opt.source_steps));
+                                  static_cast<double>(kSourceSteps));
             }
         } catch (const NumericalError&) {
             ok = false;
@@ -293,23 +302,21 @@ DcSolution dc_operating_point(const Netlist& nl,
             robust::note_recovery(report, "dcop.source_ramp",
                                   "DC operating point recovered by ramping "
                                   "sources over " +
-                                      std::to_string(opt.source_steps) +
+                                      std::to_string(kSourceSteps) +
                                       " steps");
             return pack_solution(nl, lay, x);
         }
     }
 
-    // Re-run the plain solve so the caller sees the original failure, with
-    // the recovery attempts recorded in the context chain.
+    // Both continuations failed: the caller sees the plain solve's failure,
+    // with the recovery attempts recorded in the context chain.
     try {
-        table_v.assign(ntab, 0.0);
-        x = dc_newton(nl, lay, lu, table_v, 0.0, 1.0);
+        std::rethrow_exception(failure);
     } catch (NumericalError& e) {
         e.with_context(
             "after gmin stepping and source ramping both failed to recover");
         throw;
     }
-    return pack_solution(nl, lay, x);
 }
 
 } // namespace pgsi

@@ -39,6 +39,11 @@ double TransientResult::peak_excursion(NodeId node) const {
 
 namespace {
 
+// Timestep-cut ladder: a failed step is re-advanced with kCutFactor^L
+// backward-Euler substeps, L = 1 .. kMaxCuts.
+constexpr int kMaxCuts = 3;
+constexpr std::size_t kCutFactor = 8;
+
 // Internal capacitor bookkeeping (netlist capacitors + driver output caps).
 struct CapState {
     NodeId a = 0, b = 0;
@@ -294,7 +299,7 @@ struct TransientStepper::Impl {
         // factor and every 64th thereafter rather than every refactor.
         if (stats.lu_factorizations == 1 || stats.lu_factorizations % 64 == 0)
             robust::check_condition(lu->condition_estimate(),
-                                    "transient MNA matrix", ropt, &report);
+                                    "transient MNA matrix", &report);
         lu_valid = true;
     }
 
@@ -354,16 +359,16 @@ struct TransientStepper::Impl {
     }
 
     // Re-advance the failed step [t - dt, t] with a cut timestep: restore
-    // the pre-step state and split the interval into timestep_cut_factor^L
-    // backward-Euler substeps, deepening L up to max_timestep_cuts levels.
+    // the pre-step state and split the interval into kCutFactor^L
+    // backward-Euler substeps, deepening L up to kMaxCuts levels.
     // History values (capacitor/inductor voltages and currents) are physical
     // quantities at the substep times, so the step-size change is consistent.
     bool recover_step(const Snapshot& snap) {
         const double dt_full = dt;
         const double t0 = (step_count - 1) * dt_full;
         std::size_t nsub = 1;
-        for (int level = 1; level <= ropt.max_timestep_cuts; ++level) {
-            nsub *= static_cast<std::size_t>(ropt.timestep_cut_factor);
+        for (int level = 1; level <= kMaxCuts; ++level) {
+            nsub *= kCutFactor;
             restore(snap);
             set_dt(dt_full / static_cast<double>(nsub));
             bool ok = true;
@@ -415,7 +420,7 @@ struct TransientStepper::Impl {
         // with transmission lines: their delay-line history is sampled at
         // the construction dt and cannot be re-gridded mid-run.
         const bool can_cut = ropt.policy == robust::RecoveryPolicy::Recover &&
-                             ropt.max_timestep_cuts > 0 && tstates.empty();
+                             tstates.empty();
         Snapshot snap;
         if (can_cut) snap = take_snapshot();
         if (!attempt(t, m)) {

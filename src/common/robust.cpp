@@ -14,6 +14,9 @@ namespace pgsi::robust {
 
 namespace {
 
+// 1-norm condition-number estimate above which check_condition warns.
+constexpr double kConditionWarnThreshold = 1e12;
+
 std::int64_t steady_now_ns() noexcept {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
@@ -75,17 +78,6 @@ void CancelToken::poll(const char* where) const {
     throw Cancelled(std::string(where) + ": cancelled — " + reason());
 }
 
-RecoveryOptions escalate_one_rung(const RecoveryOptions& base) {
-    RecoveryOptions r = base;
-    r.policy = RecoveryPolicy::Recover;
-    r.max_timestep_cuts = base.max_timestep_cuts + 2;
-    r.timestep_cut_factor = std::max(base.timestep_cut_factor, 8);
-    r.gmin_steps = base.gmin_steps + 4;
-    r.gmin_start = std::min(1e-1, base.gmin_start * 10);
-    r.source_steps = base.source_steps * 2;
-    return r;
-}
-
 std::size_t RecoveryReport::count(std::string_view site) const {
     std::size_t n = 0;
     for (const RecoveryEvent& e : events)
@@ -130,10 +122,8 @@ void note_recovery(RecoveryReport* report, std::string_view site,
 }
 
 bool check_condition(double kappa_estimate, std::string_view what,
-                     const RecoveryOptions& options, RecoveryReport* report) {
-    if (options.condition_warn_threshold <= 0 ||
-        !(kappa_estimate > options.condition_warn_threshold))
-        return false;
+                     RecoveryReport* report) {
+    if (!(kappa_estimate > kConditionWarnThreshold)) return false;
     static obs::Counter& warnings = obs::counter("robust.condition_warnings");
     ++warnings;
     if (report)
@@ -141,7 +131,7 @@ bool check_condition(double kappa_estimate, std::string_view what,
             {"condition_warning",
              std::string(what) + ": estimated 1-norm condition number " +
                  std::to_string(kappa_estimate) + " exceeds " +
-                 std::to_string(options.condition_warn_threshold)});
+                 std::to_string(kConditionWarnThreshold)});
     return true;
 }
 

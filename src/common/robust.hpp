@@ -8,15 +8,19 @@
 // diverging Newton iteration) with *staged recovery* instead of aborting the
 // whole run. This header is the shared vocabulary:
 //
-//  * RecoveryPolicy / RecoveryOptions — how hard each stage tries before
-//    giving up. `Strict` preserves the historical throw-on-failure behavior
-//    exactly (tests that assert failure semantics opt into it); `Recover`
-//    (the default) enables the per-stage ladders:
+//  * RecoveryPolicy / RecoveryOptions — whether a stage tries its staged
+//    recovery before giving up. `Strict` throws on the first failure
+//    (tests that assert failure semantics opt into it); `Recover` (the
+//    default) enables the per-stage ladders, whose depths are fixed
+//    constants beside their single users:
 //      - transient: Newton divergence → backward-Euler retry → timestep cut
-//        (factor `timestep_cut_factor`, up to `max_timestep_cuts` levels);
-//      - DC operating point: gmin stepping, then source ramping;
+//        (×8 substeps per level, up to 3 levels);
+//      - DC operating point: gmin stepping (8 levels from 1e-2 S), then
+//        source ramping (8 steps);
 //      - iterative EM solver: dense-LU fallback for a frequency whose
 //        GMRES solve stalls.
+//    Extraction has no ladder: L and Ppot are SPD energy matrices, and a
+//    failed Cholesky throws NumericalError under either policy.
 //  * RecoveryReport — per-run record of every recovery taken, surfaced on
 //    TransientResult / PartitionedCosim::Result so callers can see that a
 //    result was rescued (and how) without scraping logs. Every recovery is
@@ -37,7 +41,7 @@
 //    every recovery path above is exercised by ordinary tests instead of
 //    rotting as dead branches. Known sites: `lu.pivot`, `gmres.stall`,
 //    `transient.newton`, `dcop.diverge`, `serve.job`, `serve.deadline`,
-//    `cache.evict`, `extract.cholesky`, `bem.cholesky`.
+//    `cache.evict`, `extract.cholesky`.
 #pragma once
 
 #include <atomic>
@@ -112,28 +116,10 @@ private:
     mutable std::string reason_;
 };
 
-/// Per-run recovery tuning, threaded from the top-level entry points
+/// Per-run recovery settings, threaded from the top-level entry points
 /// (TransientOptions, SolverOptions, SsnModelOptions) down to the stages.
 struct RecoveryOptions {
     RecoveryPolicy policy = RecoveryPolicy::Recover;
-
-    // Transient: on Newton non-convergence, re-advance the step with
-    // `timestep_cut_factor`^level backward-Euler substeps, up to
-    // `max_timestep_cuts` levels. (Delay-line transmission lines lock the
-    // step size, so netlists with tlines skip the cut and fail as before.)
-    int max_timestep_cuts = 3;
-    int timestep_cut_factor = 8;
-
-    // DC operating point: gmin stepping (a shunt `gmin` on every node,
-    // shrunk by 10x per level from gmin_start over gmin_steps levels, then
-    // removed), then source ramping (sources scaled 1/source_steps ...1).
-    int gmin_steps = 8;
-    double gmin_start = 1e-2;
-    int source_steps = 8;
-
-    /// 1-norm condition-number estimate above which a factorization emits a
-    /// "robust.condition_warnings" counter tick (0 disables the estimate).
-    double condition_warn_threshold = 1e12;
 
     /// Cooperative cancellation, polled by the engines these options reach
     /// (transient stepper per step, DC continuation per pass, both sweep
@@ -141,15 +127,6 @@ struct RecoveryOptions {
     /// (default) disables polling.
     const CancelToken* cancel = nullptr;
 };
-
-/// One rung up the job-retry ladder: a strictly-more-forgiving copy of
-/// `base`. Each rung deepens the transient timestep cutting and the DC
-/// continuation, and sets the policy to Recover (which also opens the
-/// iterative solver's dense fallback). Used by the batch engine, which
-/// escalates a failing job one rung per retry; a clean solve is unaffected
-/// by the rung, so escalated retries of healthy code paths stay
-/// bit-identical.
-RecoveryOptions escalate_one_rung(const RecoveryOptions& base);
 
 /// One recovery (or health warning) taken during a run.
 struct RecoveryEvent {
@@ -173,11 +150,11 @@ struct RecoveryReport {
 void note_recovery(RecoveryReport* report, std::string_view site,
                    std::string detail);
 
-/// Emit a condition warning when `kappa_estimate` exceeds the options
-/// threshold: obs counter "robust.condition_warnings" plus a report event.
-/// Returns true when the warning fired.
+/// Emit a condition warning when `kappa_estimate` exceeds 1e12: obs
+/// counter "robust.condition_warnings" plus a report event. Returns true
+/// when the warning fired.
 bool check_condition(double kappa_estimate, std::string_view what,
-                     const RecoveryOptions& options, RecoveryReport* report);
+                     RecoveryReport* report);
 
 // --- numerical-health guards ------------------------------------------------
 

@@ -131,8 +131,7 @@ const MatrixD& PlaneBem::maxwell_capacitance() const {
         const MatrixD& p = potential_matrix();
         PGSI_TRACE_SCOPE("bem.invert.potential");
         PGSI_ALLOC_SCOPE("em.assembly");
-        return spd_solve(p, MatrixD::identity(p.rows()), "bem.cholesky",
-                         "bem.lu_fallback", "maxwell_capacitance: Ppot inverse");
+        return Cholesky(p).solve(MatrixD::identity(p.rows()));
     });
 }
 
@@ -223,8 +222,7 @@ const MatrixD& PlaneBem::gamma() const {
         PGSI_ALLOC_SCOPE("em.assembly");
         const MatrixD a = incidence_dense();
         // X = L⁻¹ P, then Γ = Pᵀ X accumulated through the sparse incidence.
-        const MatrixD x =
-            spd_solve(l, a, "bem.cholesky", "bem.lu_fallback", "gamma: L⁻¹P");
+        const MatrixD x = Cholesky(l).solve(a);
         const std::size_t n = node_count();
         MatrixD g(n, n);
         const auto& branches = mesh().branches();

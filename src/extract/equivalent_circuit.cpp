@@ -6,6 +6,7 @@
 #include "common/constants.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "common/robust.hpp"
 #include "extract/reduction.hpp"
 #include "numeric/cholesky.hpp"
 #include "numeric/gemm.hpp"
@@ -233,6 +234,21 @@ MatrixD reduce_conductance(const PlaneBem& bem,
     return g;
 }
 
+/// A⁻¹B for an SPD energy matrix (the loop inductance M or Ppot). A failed
+/// Cholesky means the extracted circuit could not be passive, so it throws
+/// NumericalError naming the matrix; the `extract.cholesky` fault site
+/// injects that failure.
+MatrixD energy_solve(const MatrixD& a, const MatrixD& b, const char* what) {
+    try {
+        if (robust::FaultInjector::should_fire("extract.cholesky"))
+            throw NumericalError("injected fault at extract.cholesky");
+        return Cholesky(a).solve(b);
+    } catch (NumericalError& e) {
+        e.with_context(std::string("while factoring the ") + what);
+        throw;
+    }
+}
+
 } // namespace
 
 bool CircuitExtractor::lossy() const {
@@ -304,8 +320,7 @@ ReducedMatrices CircuitExtractor::reduce(
             mirror_lower(mz);
         }
 
-        const MatrixD x = spd_solve(mz, b, "extract.cholesky", // M⁻¹ B
-                                    "extract.lu_fallback", "loop inductance");
+        const MatrixD x = energy_solve(mz, b, "loop inductance"); // M⁻¹ B
         red.gamma = b.transposed() * x;
         symmetrize(red.gamma);
 
@@ -358,9 +373,8 @@ ReducedMatrices CircuitExtractor::reduce(
     }
     {
         PGSI_TRACE_SCOPE("extract.capacitance");
-        const MatrixD y = spd_solve(ppot, w, "extract.cholesky", // Ppot⁻¹ W
-                                    "extract.lu_fallback",
-                                    "potential coefficients");
+        // Ppot⁻¹ W
+        const MatrixD y = energy_solve(ppot, w, "potential coefficients");
         red.capacitance = w.transposed() * y;
         symmetrize(red.capacitance);
     }

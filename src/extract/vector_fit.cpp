@@ -129,18 +129,17 @@ RationalFit vector_fit(const VectorD& freqs_hz, const VectorC& h,
         poles.push_back(Complex(-w / 100.0, -w));
     }
 
-    const int n_extra = options.fit_e ? 2 : 1; // d (+ e)
+    const int n_extra = 2; // d and e
     VectorC phi(np);
 
     double hmax = 0;
     for (const Complex& v : h) hmax = std::max(hmax, std::abs(v));
-    VectorD weight(ns, 1.0);
-    if (options.relative_weighting)
-        for (std::size_t i = 0; i < ns; ++i)
-            weight[i] = 1.0 / (std::abs(h[i]) + 1e-3 * hmax);
+    VectorD weight(ns);
+    for (std::size_t i = 0; i < ns; ++i)
+        weight[i] = 1.0 / (std::abs(h[i]) + 1e-3 * hmax);
 
     for (int iter = 0; iter < options.iterations; ++iter) {
-        // Unknowns: np fit coefficients, d (, e), np sigma coefficients.
+        // Unknowns: np fit coefficients, d, e, np sigma coefficients.
         const std::size_t cols = np + n_extra + np;
         MatrixD a(2 * ns, cols);
         VectorD b(2 * ns);
@@ -153,10 +152,8 @@ RationalFit vector_fit(const VectorD& freqs_hz, const VectorC& h,
                 a(2 * i + 1, k) = w * phi[k].imag();
             }
             a(2 * i, np) = w; // d
-            if (options.fit_e) {
-                a(2 * i, np + 1) = w * s.real();
-                a(2 * i + 1, np + 1) = w * s.imag();
-            }
+            a(2 * i, np + 1) = w * s.real(); // e
+            a(2 * i + 1, np + 1) = w * s.imag();
             for (int k = 0; k < np; ++k) {
                 const Complex q = -h[i] * phi[k];
                 a(2 * i, np + n_extra + k) = w * q.real();
@@ -194,8 +191,7 @@ RationalFit vector_fit(const VectorD& freqs_hz, const VectorC& h,
         // positive-imag representative, sort, and merge near-duplicates.
         std::vector<Complex> reps;
         for (Complex z : zeros) {
-            if (options.enforce_stable && z.real() > 0)
-                z = Complex(-z.real(), z.imag());
+            if (z.real() > 0) z = Complex(-z.real(), z.imag());
             reps.push_back(Complex(z.real(), std::abs(z.imag())));
         }
         std::sort(reps.begin(), reps.end(), [](Complex a2, Complex b2) {
@@ -242,10 +238,8 @@ RationalFit vector_fit(const VectorD& freqs_hz, const VectorC& h,
             a(2 * i + 1, k) = w * phi[k].imag();
         }
         a(2 * i, np) = w;
-        if (options.fit_e) {
-            a(2 * i, np + 1) = w * s.real();
-            a(2 * i + 1, np + 1) = w * s.imag();
-        }
+        a(2 * i, np + 1) = w * s.real();
+        a(2 * i + 1, np + 1) = w * s.imag();
         b[2 * i] = w * h[i].real();
         b[2 * i + 1] = w * h[i].imag();
     }
@@ -255,16 +249,14 @@ RationalFit vector_fit(const VectorD& freqs_hz, const VectorC& h,
     fit.poles = poles;
     fit.residues = coeffs_to_residues(poles, x);
     fit.d = x[np];
-    fit.e = options.fit_e ? x[np + 1] : 0.0;
+    fit.e = x[np + 1];
     return fit;
 }
 
 void stamp_foster_impedance(Netlist& nl, const std::string& name, NodeId a,
                             NodeId b, const RationalFit& fit) {
     for (const Complex& p : fit.poles)
-        PGSI_REQUIRE(p.real() < 0,
-                     "stamp_foster_impedance: unstable pole; refit with "
-                     "enforce_stable");
+        PGSI_REQUIRE(p.real() < 0, "stamp_foster_impedance: unstable pole");
 
     // Chain the Foster sections in series between a and b.
     NodeId cur = a;

@@ -41,15 +41,13 @@ struct RationalFit {
     double max_relative_error(const VectorD& freqs_hz, const VectorC& h) const;
 };
 
-/// Controls for the fit.
+/// Controls for the fit. The fit always includes the s·e term (inductive
+/// data needs it), flips unstable relocated poles into the left half plane,
+/// and weights each sample by 1/|h| so it targets *relative* accuracy —
+/// essential for impedance data spanning decades across resonances.
 struct VectorFitOptions {
     int n_poles = 8;       ///< fit order (pairs count as two)
     int iterations = 12;   ///< pole-relocation passes
-    bool enforce_stable = true; ///< flip unstable poles into the left half plane
-    bool fit_e = true;     ///< include the s·e term (inductive data needs it)
-    /// Weight each sample by 1/|h| so the fit targets *relative* accuracy —
-    /// essential for impedance data spanning decades across resonances.
-    bool relative_weighting = true;
 };
 
 /// Fit sampled data h(jω_i) at freqs_hz with the vector-fitting iteration.

@@ -4,9 +4,7 @@
 #include <vector>
 
 #include "common/parallel.hpp"
-#include "common/robust.hpp"
 #include "numeric/gemm.hpp"
-#include "numeric/lu.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -109,28 +107,6 @@ Cholesky::Cholesky(const MatrixD& a) : g_(a.rows(), a.cols()) {
     }
 }
 
-VectorD Cholesky::solve(const VectorD& b) const {
-    const std::size_t n = g_.rows();
-    PGSI_REQUIRE(b.size() == n, "Cholesky solve: rhs size mismatch");
-    static obs::Counter& solves = obs::counter("cholesky.solves");
-    static obs::Counter& rhs_cols = obs::counter("cholesky.rhs_cols");
-    ++solves;
-    ++rhs_cols;
-    VectorD y(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        double acc = b[i];
-        const double* row = g_.row(i);
-        for (std::size_t j = 0; j < i; ++j) acc -= row[j] * y[j];
-        y[i] = acc / row[i];
-    }
-    for (std::size_t ii = n; ii-- > 0;) {
-        double acc = y[ii];
-        for (std::size_t j = ii + 1; j < n; ++j) acc -= g_(j, ii) * y[j];
-        y[ii] = acc / g_(ii, ii);
-    }
-    return y;
-}
-
 MatrixD Cholesky::solve(const MatrixD& b) const {
     const std::size_t n = g_.rows();
     const std::size_t nrhs = b.cols();
@@ -217,20 +193,6 @@ bool is_spd(const MatrixD& a) {
         return true;
     } catch (const NumericalError&) {
         return false;
-    }
-}
-
-MatrixD spd_solve(const MatrixD& a, const MatrixD& b, const char* fault_site,
-                  const char* recovery_site, const char* what) {
-    try {
-        if (robust::FaultInjector::should_fire(fault_site))
-            throw NumericalError(std::string("injected fault at ") + fault_site);
-        return Cholesky(a).solve(b);
-    } catch (const NumericalError& e) {
-        robust::note_recovery(nullptr, recovery_site,
-                              std::string(what) + ": " + e.what() +
-                                  "; solved by pivoted LU");
-        return Lu<double>(a).solve(b);
     }
 }
 

@@ -27,9 +27,6 @@ public:
     /// Factor a. Throws NumericalError if a is not positive definite.
     explicit Cholesky(const MatrixD& a);
 
-    /// Solve A x = b.
-    VectorD solve(const VectorD& b) const;
-
     /// Solve A X = B for every column of B at once.
     MatrixD solve(const MatrixD& b) const;
 
@@ -44,13 +41,5 @@ private:
 
 /// True if a is symmetric positive definite (attempts a Cholesky factorization).
 bool is_spd(const MatrixD& a);
-
-/// Solve A X = B for a matrix that is symmetric positive definite in exact
-/// arithmetic; quadrature error can cost an extreme mesh its definiteness.
-/// A failed Cholesky, or an injected fault at `fault_site`, is recorded as
-/// the recovery `recovery_site` (robust::note_recovery, naming `what`), and
-/// the solve falls back to pivoted LU.
-MatrixD spd_solve(const MatrixD& a, const MatrixD& b, const char* fault_site,
-                  const char* recovery_site, const char* what);
 
 } // namespace pgsi

@@ -33,13 +33,6 @@ Lu<T>::Lu(Matrix<T> a) : lu_(std::move(a)) {
         ++factorizations;
         sizes.record(static_cast<double>(n));
     }
-    // ‖A‖₁ (max absolute column sum), recorded before the in-place
-    // factorization destroys A — condition_estimate() needs it.
-    for (std::size_t j = 0; j < n; ++j) {
-        double s = 0;
-        for (std::size_t i = 0; i < n; ++i) s += std::abs(lu_(i, j));
-        anorm1_ = std::max(anorm1_, s);
-    }
     perm_.resize(n);
     for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
 
@@ -193,80 +186,6 @@ Matrix<T> Lu<T>::solve(const Matrix<T>& b) const {
 template <class T>
 Matrix<T> Lu<T>::inverse() const {
     return solve(Matrix<T>::identity(lu_.rows()));
-}
-
-namespace {
-
-inline double conj_helper(double v) { return v; }
-inline Complex conj_helper(const Complex& v) { return std::conj(v); }
-inline double real_part(double v) { return v; }
-inline double real_part(const Complex& v) { return v.real(); }
-
-} // namespace
-
-template <class T>
-std::vector<T> Lu<T>::solve_adjoint(const std::vector<T>& b) const {
-    // A = Pᵀ L U, so Aᴴ x = b is solved as Uᴴ w = b (lower triangular),
-    // Lᴴ z = w (unit upper triangular), x = Pᵀ z (scatter through perm_).
-    const std::size_t n = lu_.rows();
-    PGSI_REQUIRE(b.size() == n, "LU solve_adjoint: rhs size mismatch");
-    std::vector<T> z(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        T acc = b[i];
-        for (std::size_t j = 0; j < i; ++j) acc -= conj_helper(lu_(j, i)) * z[j];
-        z[i] = acc / conj_helper(lu_(i, i));
-    }
-    for (std::size_t ii = n; ii-- > 0;) {
-        T acc = z[ii];
-        for (std::size_t j = ii + 1; j < n; ++j)
-            acc -= conj_helper(lu_(j, ii)) * z[j];
-        z[ii] = acc;
-    }
-    std::vector<T> x(n);
-    for (std::size_t i = 0; i < n; ++i) x[perm_[i]] = z[i];
-    return x;
-}
-
-template <class T>
-double Lu<T>::condition_estimate() const {
-    // Hager's 1-norm estimator for B = A⁻¹ (Higham's complex variant):
-    // alternate B x and Bᴴ ξ applications, following the unit vector where
-    // the gradient of ‖Bx‖₁ is largest. A handful of O(n²) solves.
-    const std::size_t n = lu_.rows();
-    if (n == 0) return 0;
-    std::vector<T> x(n, T{1.0 / static_cast<double>(n)});
-    double est = 0;
-    std::size_t last_j = n; // unit-vector index tried last
-    for (int iter = 0; iter < 5; ++iter) {
-        const std::vector<T> y = solve(x);
-        double ynorm = 0;
-        for (const T& v : y) ynorm += std::abs(v);
-        est = std::max(est, ynorm);
-        std::vector<T> xi(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            const double m = std::abs(y[i]);
-            xi[i] = m == 0 ? T{1} : y[i] / T{m};
-        }
-        const std::vector<T> zv = solve_adjoint(xi);
-        std::size_t j = 0;
-        double zmax = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            const double m = std::abs(zv[i]);
-            if (m > zmax) {
-                zmax = m;
-                j = i;
-            }
-        }
-        if (j == last_j) break;
-        double zx = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            zx += real_part(conj_helper(zv[i]) * x[i]);
-        if (zmax <= zx) break; // gradient is not improving: converged
-        x.assign(n, T{});
-        x[j] = T{1};
-        last_j = j;
-    }
-    return anorm1_ * est;
 }
 
 template <class T>

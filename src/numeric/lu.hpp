@@ -30,20 +30,11 @@ public:
     /// Determinant of A (product of pivots with permutation sign).
     T determinant() const;
 
-    /// Hager/Higham estimate of the 1-norm condition number κ₁(A) =
-    /// ‖A‖₁·‖A⁻¹‖₁, from a handful of O(n²) solves against the stored
-    /// factors (a lower bound, usually within a small factor of the truth).
-    double condition_estimate() const;
-
     std::size_t size() const { return lu_.rows(); }
 
 private:
-    /// Solve Aᴴ x = b through the stored factors (Hager estimator needs it).
-    std::vector<T> solve_adjoint(const std::vector<T>& b) const;
-
     Matrix<T> lu_;             // combined L (unit lower) and U factors
     std::vector<std::size_t> perm_; // row permutation
-    double anorm1_ = 0;        // ‖A‖₁ of the input matrix
     int sign_ = 1;
 };
 

@@ -119,11 +119,10 @@ void run_one(const JobSpec& spec, robust::CancelToken& token,
         token.set_deadline_after(spec.deadline_s);
     }
 
-    robust::RecoveryOptions rung = base;
+    robust::RecoveryOptions ropt = base;
+    ropt.cancel = &token;
     for (int attempt = 0;; ++attempt) {
         rep.attempts = attempt + 1;
-        robust::RecoveryOptions ropt = rung;
-        ropt.cancel = &token;
         try {
             if (robust::FaultInjector::should_fire("serve.job"))
                 throw NumericalError("fault injected at serve.job (job " +
@@ -158,10 +157,7 @@ void run_one(const JobSpec& spec, robust::CancelToken& token,
             robust::note_recovery(
                 &rep.recovery, "serve.retry",
                 "attempt " + std::to_string(attempt + 1) + " of job " +
-                    spec.id + " failed (" + rep.error +
-                    "); retrying at recovery rung " +
-                    std::to_string(attempt + 1));
-            rung = robust::escalate_one_rung(rung);
+                    spec.id + " failed (" + rep.error + "); retrying");
             const double backoff =
                 spec.backoff_s *
                 std::pow(spec.backoff_multiplier, static_cast<double>(attempt));

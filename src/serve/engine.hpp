@@ -13,12 +13,11 @@
 //  * Exception capture — anything a job throws becomes its JobReport
 //    (state, error text, recovery trail). One poisoned geometry cannot take
 //    down the other 49 jobs of a campaign.
-//  * Retry ladder — a failed attempt retries up to JobSpec::max_retries
-//    times, sleeping backoff_s·multiplier^k between attempts, each retry one
-//    rung up the robust::escalate_one_rung ladder (deeper timestep cutting,
-//    wider DC continuation, iterative escalation forced open). Healthy code
-//    paths are rung-invariant, so retried jobs stay bit-identical to clean
-//    ones.
+//  * Retries — a failed attempt retries up to JobSpec::max_retries times,
+//    sleeping backoff_s·multiplier^k between attempts. Every attempt runs
+//    with the same recovery options (the numerical ladders live inside the
+//    stages), so a retry covers transient, non-numerical failures and a
+//    retried job stays bit-identical to a clean one.
 //  * Journal + resume — with a journal path set, every finished job is
 //    appended (fsync'd) to jobs.jsonl; BatchOptions::resume skips jobs whose
 //    completed records are already journaled. Job results are bit-reproducible
@@ -54,8 +53,8 @@ struct BatchOptions {
     /// journal_path). Their reports come back as JobState::Resumed with the
     /// journaled digest but no payload.
     bool resume = false;
-    /// Rung-0 recovery options every attempt starts from; retries escalate
-    /// from here.
+    /// Recovery policy of every attempt; each job's deadline token is set
+    /// as its `cancel`.
     robust::RecoveryOptions recovery;
 };
 

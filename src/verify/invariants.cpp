@@ -497,9 +497,8 @@ CheckResult inv_backend_cavity(const InvariantContext& ctx) {
 }
 
 // Batch-engine equivalence: a campaign routed through pgsi::serve — shared
-// model cache, single-flight builds, one fault-injected retry at an
-// escalated recovery rung — must reproduce the library's direct solve bit
-// for bit. The scenario parameterizes the board (dimensions, dielectric,
+// model cache, single-flight builds, one fault-injected retry — must
+// reproduce the library's direct solve bit for bit. The scenario parameterizes the board (dimensions, dielectric,
 // sheet resistance, pitch), so the property is exercised across the whole
 // generator distribution, not one fixture.
 CheckResult inv_serve_equivalence(const InvariantContext& ctx) {

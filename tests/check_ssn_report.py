@@ -3,7 +3,9 @@
 reads: exact sparse-factor work counts are present and consistent, and the
 keys of the retired border split are gone. The report's spans must show the
 cycle-basis extraction stages and none of the all-node dense passes it
-replaced.
+replaced. A healthy board needs no recovery: the report's `recoveries`
+array must be empty and every `robust.*` counter 0, so a silent fallback
+on the clean path fails this check.
 
 usage: check_ssn_report.py <pgsi_ssn> <board-file> <work-dir>
 """
@@ -48,8 +50,16 @@ def main():
             errors.append("span %s must be present" % stage)
     if errors:
         sys.exit("spans %s: %s" % (sorted(names), "; ".join(errors)))
+
+    if doc["recoveries"]:
+        errors.append("recoveries must be empty, got %r" % doc["recoveries"])
+    for name, value in doc["metrics"]["counters"].items():
+        if name.startswith("robust.") and value != 0:
+            errors.append("counter %s must be 0, got %r" % (name, value))
+    if errors:
+        sys.exit("healthy board took a recovery: " + "; ".join(errors))
     print("ok: transient report carries lu_nnz = %d, factor_flops = %d; "
-          "extraction spans are the cycle-basis stages"
+          "extraction spans are the cycle-basis stages; no recoveries"
           % (transient["lu_nnz"], transient["factor_flops"]))
 
 

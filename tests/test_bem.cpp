@@ -6,12 +6,9 @@
 #include <cmath>
 
 #include "common/constants.hpp"
-#include "common/robust.hpp"
 #include "em/bem_plane.hpp"
 #include "extract/reduction.hpp"
 #include "numeric/cholesky.hpp"
-#include "obs/metrics.hpp"
-#include "verify/invariants.hpp"
 
 using namespace pgsi;
 
@@ -189,23 +186,3 @@ TEST_P(BemConvergence, PlateCapacitanceWithinBand) {
 
 INSTANTIATE_TEST_SUITE_P(Meshes, BemConvergence, ::testing::Values(6, 8, 10, 14));
 
-TEST(Bem, InjectedCholeskyFaultFallsBackToLu) {
-    // maxwell_capacitance() and gamma() each fall back to pivoted LU when
-    // their Cholesky fails, and record the fallback as a recovery.
-    const Greens g = Greens::homogeneous(4.5, false);
-    const PlaneBem clean = make_square_plate(0.02, 0.002, g);
-    const PlaneBem faulted = make_square_plate(0.02, 0.002, g);
-
-    obs::Counter& fallbacks = obs::counter("robust.bem.lu_fallback");
-    const std::uint64_t before = fallbacks.value();
-    robust::FaultInjector::arm("bem.cholesky", 1, 2);
-    const MatrixD& c = faulted.maxwell_capacitance();
-    const MatrixD& gam = faulted.gamma();
-    const std::uint64_t fired = robust::FaultInjector::fire_count("bem.cholesky");
-    robust::FaultInjector::disarm_all();
-
-    EXPECT_EQ(fired, 2u);
-    EXPECT_EQ(fallbacks.value() - before, 2u);
-    EXPECT_LE(verify::relative_diff(clean.maxwell_capacitance(), c), 1e-12);
-    EXPECT_LE(verify::relative_diff(clean.gamma(), gam), 1e-12);
-}

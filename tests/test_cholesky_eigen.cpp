@@ -27,11 +27,11 @@ MatrixD random_spd(int n, unsigned seed) {
 
 TEST(Cholesky, SolveMatchesLu) {
     const MatrixD a = random_spd(6, 7);
-    VectorD b(6);
-    for (int i = 0; i < 6; ++i) b[i] = i + 1;
-    const VectorD xc = Cholesky(a).solve(b);
-    const VectorD xl = Lu<double>(a).solve(b);
-    for (int i = 0; i < 6; ++i) EXPECT_NEAR(xc[i], xl[i], 1e-10);
+    MatrixD b(6, 1);
+    for (int i = 0; i < 6; ++i) b(i, 0) = i + 1;
+    const MatrixD xc = Cholesky(a).solve(b);
+    const VectorD xl = Lu<double>(a).solve(VectorD(b.data(), b.data() + 6));
+    for (int i = 0; i < 6; ++i) EXPECT_NEAR(xc(i, 0), xl[i], 1e-10);
 }
 
 TEST(Cholesky, RejectsIndefinite) {
@@ -125,12 +125,12 @@ TEST(Cholesky, MatrixSolveMatchesColumnwiseVectorSolves) {
     MatrixD b(n, k);
     for (int i = 0; i < n; ++i)
         for (int j = 0; j < k; ++j) b(i, j) = u(rng);
-    const Cholesky chol(a);
-    const MatrixD x = chol.solve(b);
+    const MatrixD x = Cholesky(a).solve(b);
+    const Lu<double> lu(a);
     for (int j = 0; j < k; j += 17) {
         VectorD col(n);
         for (int i = 0; i < n; ++i) col[i] = b(i, j);
-        const VectorD xj = chol.solve(col);
+        const VectorD xj = lu.solve(col);
         for (int i = 0; i < n; ++i)
             EXPECT_NEAR(x(i, j), xj[i], 1e-9) << "col=" << j;
     }

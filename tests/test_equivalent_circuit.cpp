@@ -323,22 +323,28 @@ TEST(ExtractEquivalence, ReduceAndFillsReproduceRecordedDigests) {
         EXPECT_EQ(got[i], want[i]) << i << ": 0x" << std::hex << got[i];
 }
 
-TEST(ExtractEquivalence, InjectedCholeskyFaultFallsBackToLu) {
+TEST(ExtractEquivalence, InjectedCholeskyFaultThrows) {
+    // A failed Cholesky of M or Ppot means the extracted circuit could not
+    // be passive: extraction throws, naming the matrix, and records no
+    // recovery.
     const PlaneBem bem = make_lshape_with_cutout();
     const CircuitExtractor ex(bem);
     const std::vector<std::size_t> keep = ex.select_nodes({0, 7}, 6);
-    const ReducedMatrices clean = ex.reduce(keep);
 
-    obs::Counter& fallbacks = obs::counter("robust.extract.lu_fallback");
-    const std::uint64_t before = fallbacks.value();
+    obs::Counter& recoveries = obs::counter("robust.recoveries");
+    const std::uint64_t before = recoveries.value();
     robust::FaultInjector::arm("extract.cholesky", 1);
-    const ReducedMatrices faulted = ex.reduce(keep);
+    std::string what;
+    try {
+        ex.extract(keep);
+    } catch (const NumericalError& e) {
+        what = e.what();
+    }
     const std::uint64_t fired = robust::FaultInjector::fire_count("extract.cholesky");
     robust::FaultInjector::disarm_all();
 
     EXPECT_EQ(fired, 1u);
-    EXPECT_EQ(fallbacks.value() - before, 1u);
-    EXPECT_LE(verify::relative_diff(clean.gamma, faulted.gamma), kEquivTol);
-    EXPECT_LE(verify::relative_diff(clean.capacitance, faulted.capacitance), kEquivTol);
-    EXPECT_LE(verify::relative_diff(clean.conductance, faulted.conductance), kEquivTol);
+    EXPECT_NE(what.find("while factoring the loop inductance"), std::string::npos)
+        << what;
+    EXPECT_EQ(recoveries.value(), before);
 }

@@ -465,9 +465,8 @@ TEST_F(ServeEnv, AcceptanceCampaignContainsFaultsAndDeadlines) {
 
 TEST_F(ServeEnv, RetryLadderRecoversAFlakyJob) {
     // One fault on the first "serve.job" call: the only job's first attempt
-    // fails, the retry (one recovery rung up) succeeds, and the result is
-    // still bit-identical to a direct solve — escalated rungs leave healthy
-    // code paths untouched.
+    // fails, the retry (same recovery options) succeeds, and the result is
+    // still bit-identical to a direct solve.
     serve::JobSpec spec = sweep_spec("flaky", 0);
     spec.ports = {{0.03, 0.025}};
     spec.max_retries = 2;
